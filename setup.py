@@ -1,13 +1,12 @@
 """Setup shim for environments without the `wheel` package (offline).
 
-Metadata (including the numpy dependency for the vectorized engine
-backend) lives in pyproject.toml; see repro.sim.backend for the graceful
-numpy-less degradation story.
+Metadata lives in pyproject.toml.
 
 The compiled engine backend's C extension (repro.sim._ckernel) is built
 here *best-effort*: ``optional=True`` plus the failure-tolerant build_ext
 below means a box without a working C toolchain still installs cleanly
-and ``auto`` resolution degrades to vectorized/fused at run time.
+and ``auto`` resolution degrades to the fused backend at run time (see
+repro.sim.backend).
 """
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -37,8 +36,7 @@ class OptionalBuildExt(build_ext):
     def _skip(exc):
         print(f"warning: skipping optional C extension "
               f"repro.sim._ckernel ({exc!r}); the compiled engine "
-              f"backend will be unavailable (auto degrades to "
-              f"vectorized/fused)")
+              f"backend will be unavailable (auto degrades to fused)")
 
 
 setup(

@@ -65,23 +65,16 @@ def _phantom_issue_hook() -> EffectsConfig:
                    anchor, phantom + anchor)
 
 
-def _dropped_bypass_entry() -> EffectsConfig:
-    """``accumulate`` removed from ``_BYPASSED_SM_ATTRS``: an instance
-    wrapper on ``SM.accumulate`` would run under the event engine but be
-    silently skipped by the vectorized runners."""
-    config = default_effects_config()
-    return replace(config, bypassed_sm_attrs=tuple(
-        name for name in config.bypassed_sm_attrs if name != "accumulate"))
-
-
-def _dropped_compiled_entry() -> EffectsConfig:
-    """``_on_long_block`` removed from ``_COMPILED_BYPASSED_SM_ATTRS``:
-    an instance wrapper on ``SM._on_long_block`` would run under the
-    vectorized runner but be silently ignored by the C core."""
-    config = default_effects_config()
-    return replace(config, compiled_bypassed_sm_attrs=tuple(
-        name for name in config.compiled_bypassed_sm_attrs
-        if name != "_on_long_block"))
+def _dropped_bypass_entry(name: str) -> Callable[[], EffectsConfig]:
+    """``name`` removed from ``_COMPILED_BYPASSED_SM_ATTRS``: an instance
+    wrapper on ``SM.<name>`` would run under the fused event engine but be
+    silently ignored by the C core."""
+    def build() -> EffectsConfig:
+        config = default_effects_config()
+        return replace(config, compiled_bypassed_sm_attrs=tuple(
+            entry for entry in config.compiled_bypassed_sm_attrs
+            if entry != name))
+    return build
 
 
 def _dropped_inert_entry() -> EffectsConfig:
@@ -130,14 +123,16 @@ SEEDED_FAULTS: Tuple[SeededFault, ...] = (
     SeededFault("phantom_issue_hook", "fast-gate-missing", Severity.ERROR,
                 "hook read added to _try_issue without widening "
                 "fast_step_eligible", _phantom_issue_hook),
-    SeededFault("dropped_bypass_entry", "bypass-gate-missing",
+    SeededFault("dropped_bypass_entry", "compiled-gate-missing",
                 Severity.ERROR,
-                "accumulate removed from _BYPASSED_SM_ATTRS",
-                _dropped_bypass_entry),
+                "accumulate (event-loop surface) removed from "
+                "_COMPILED_BYPASSED_SM_ATTRS",
+                _dropped_bypass_entry("accumulate")),
     SeededFault("dropped_compiled_entry", "compiled-gate-missing",
                 Severity.ERROR,
-                "_on_long_block removed from _COMPILED_BYPASSED_SM_ATTRS",
-                _dropped_compiled_entry),
+                "_on_long_block (fused-step surface) removed from "
+                "_COMPILED_BYPASSED_SM_ATTRS",
+                _dropped_bypass_entry("_on_long_block")),
     SeededFault("dropped_inert_entry", "inert-gate-missing", Severity.ERROR,
                 "on_tick removed from _INERT_POLICY_ATTRS",
                 _dropped_inert_entry),

@@ -2,25 +2,23 @@
  *
  * One Core object holds the lowered state of every SM of one run: the
  * static per-instruction metadata table, the dynamic traces (deduplicated
- * by identity, exactly like the vectorized TraceTables memo), and flat
- * per-warp / per-CTA / per-scheduler records.  Core.resume(sm_id, ...)
- * advances one SM's issue loop -- a C transcription of
- * repro.sim.vectorized._sm_runner, which is itself a line-for-line copy
- * of StreamingMultiprocessor._step_fast -- until the SM either finishes
- * (returns the same 7-tuple summary the generator runner returns) or
- * reaches a *merge point*: a shared-memory-hierarchy access or a warp
+ * by identity), and flat per-warp / per-CTA / per-scheduler records.
+ * Core.resume(sm_id, ...) advances one SM's issue loop -- a C
+ * transcription of StreamingMultiprocessor._step_fast's two try-issue
+ * copies with the per-cycle clock and level accounting moved in -- until
+ * the SM either finishes (returns a 7-tuple summary for the driver's
+ * reconciliation) or reaches a *merge point*: a shared-memory-hierarchy access or a warp
  * EXIT.  At a merge point resume() parks the in-flight operation in a
  * small pending record and returns an op descriptor; the Python driver
  * (repro.sim.compiled) performs the shared operation through the real
  * Python objects in global (cycle, sm_id) order and calls resume() again,
  * which completes the parked op and continues.  This works without
- * coroutines because the runner's control flow after every yield is
+ * coroutines because the loop's control flow after every merge point is
  * fixed: complete the operation, (on the scan path) promote the warp to
  * the scheduler's current slot, count the issue, and move to the next
  * scheduler.
  *
- * Everything that the vectorized runners leave to Python stays in Python
- * here too: hierarchy accesses, the whole _finish_warp -> retire ->
+ * Everything shared between SMs stays in Python: hierarchy accesses, the whole _finish_warp -> retire ->
  * policy.fill chain, and the final reconciliation.  The driver re-lowers
  * the mutated state after each EXIT (see the sync protocol in
  * repro.sim.compiled).  Per-scheduler state is a flat member array

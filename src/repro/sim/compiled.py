@@ -1,60 +1,82 @@
-"""Compiled backend: the vectorized runners' issue loop in C.
+"""Compiled backend: decoupled per-SM issue loops in C over a shared-op merge.
 
-``repro.sim.vectorized`` already decouples the run into per-SM runners
-that only synchronize at genuinely shared operations (memory-hierarchy
-accesses, grid pulls via the EXIT -> retire -> ``fill`` chain, run-end
-reconciliation).  PR 6's profile shows the remaining cost is the pure
-Python of the issue loop itself: ~2 us of scheduler work per visited
-SM-cycle.  This backend lowers that loop -- and only that loop -- into
-the ``repro.sim._ckernel`` C extension:
+The event engine (``GPU._run_event``) orchestrates every SM from one global
+cycle loop.  For a *decoupled* run none of that global work is needed: each
+SM's issue timing is a function of its own warps plus a small set of shared
+interactions.  This backend runs each SM's issue loop privately in the
+``repro.sim._ckernel`` C extension and synchronizes only where the
+simulation is genuinely coupled:
 
 * **Lowering** -- once per run, after the dense prologue fill: the static
   ``_meta`` table becomes a flat C array (srcs / dest / pattern /
   fused-kind / fixed latency), each unique dynamic trace is interned once
-  (memoized by identity, like ``TraceTables``), and every warp / CTA /
-  scheduler becomes a flat C record (scoreboard, ``blocked_until``,
-  barrier counts, member lists in ``sched_seq`` order).
-* **Merge points** -- ``Core.resume(sm_id)`` runs one SM's issue loop
-  privately and returns exactly where the vectorized runner would
-  ``yield``: before every hierarchy access and before every
-  ``_finish_warp``.  The held operation is then performed *in Python*
-  through the real objects (``hierarchy._access``, ``sm._finish_warp``,
-  the policy fill chain), in the same global ``(cycle, sm_id)`` heap
-  order as ``run_vectorized``, so the dense interleaving -- and therefore
-  every L2/DRAM state transition and grid race -- is reproduced exactly.
+  (memoized by identity), and every warp / CTA / scheduler becomes a flat
+  C record (scoreboard, ``blocked_until``, barrier counts, member lists in
+  ``sched_seq`` order).
+* **Merge points** -- ``Core.resume(sm_id)`` runs one SM's issue loop (a
+  transcription of ``SM._step_fast``) and returns before every hierarchy
+  access and before every ``_finish_warp``.  The held operation is then
+  performed *in Python* through the real objects (``hierarchy._access``,
+  ``sm._finish_warp``, the policy fill chain), served in global
+  ``(cycle, sm_id)`` heap order.  Resume cycles are nondecreasing, so the
+  merge reproduces the dense interleaving -- and therefore every L2/DRAM
+  state transition and grid race -- exactly.
 * **Write-back** -- around each EXIT the mutated state is exchanged both
   ways: C's view of the SM (scheduler sleep/current, warp positions and
   block states, CTA barrier/stall fields) is written to the Python
   objects *before* the retire chain runs, and the chain's effects (freed
   warps, released barriers, freshly launched CTAs) are re-lowered after.
-  The run ends with the same closed-form reconciliation as the vectorized
-  backend, the C level integrals merged as exact integer sums.
+* **Reconciliation** -- the global clock, timeout and deadlock are
+  reductions over the per-SM summaries; idle cycles are busy spans minus
+  issue cycles, and the level integrals are exact int64 sums merged once.
 
-Eligibility narrows ``run_eligible`` further: the C core additionally
-inlines ``_on_long_block`` / ``_wake_schedulers`` (SM), ``wake`` /
-``_rebuild`` / ``_note_sleep`` (scheduler) and ``stats.accumulate``, so
-an instance-level wrapper on any of those routes the run to the
-vectorized backend (or the event engine when numpy is absent) instead of
-being silently skipped.  The gate tuples below are machine-checked by the
-effects auditor (``repro.analyze.effects``).
+Eligibility (``run_eligible``) is conservative and run-level: no
+tracer/sanitizer/telemetry surface, a single launch, every SM passes
+``fast_step_eligible``, no instance-level override on the surface the C
+core inlines, and every policy *inert* -- byte-for-byte the base
+:class:`RegisterFilePolicy` behaviour.  Inert policies never create
+pending/transit CTAs, never act on idle/tick, and classify every idle span
+as "other", which is what makes the closed-form reconciliation exact.
+Ineligible runs take the event engine instead -- never an error.  The
+gate tuples below are machine-checked by the effects auditor
+(``repro.analyze.effects``).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from repro.sim.vectorized import (_BYPASSED_SM_ATTRS, FOREVER,
-                                  instance_overrides, run_eligible)
-from repro.sim.warp import WarpState
+from repro.policies.base import RegisterFilePolicy
+from repro.sim.warp import FOREVER, WarpState
 
-#: SM surface additionally inlined by the C core on top of the vectorized
-#: bypass list: the long-block / fully-stalled check and the barrier
-#: scheduler wake both run inside C between merge points.
-_COMPILED_EXTRA_SM_ATTRS = ("_on_long_block", "_wake_schedulers")
+#: Policy surface that must be byte-for-byte the base implementation for a
+#: run to decouple.  State-changing hooks (fill / on_cta_*) because a real
+#: implementation could park or activate CTAs (transit machinery the C
+#: core does not model); bookkeeping hooks (classify_idle / next_event /
+#: wake_time / on_tick / on_idle) because the closed-form accounting
+#: replaces their call sites outright.  The effects auditor derives the
+#: engine-reachable base-policy surface from the source and fails CI if a
+#: reachable hook is missing here or an entry goes stale.
+_INERT_POLICY_ATTRS = (
+    "fill", "can_launch", "register_space_for_launch", "note_launched",
+    "on_cta_stalled", "on_cta_finished", "on_tick", "on_idle",
+    "_act_on_idle", "classify_idle", "next_event", "wake_time",
+    "on_issue", "extras",
+    "can_launch_for", "_launch_regs", "register_space_for",
+    "_pop_ready_swap", "_pop_ready_fitting", "_new_cta_feasible",
+    "stalled_active_ctas",
+)
 
-#: The full SM bypass surface of this backend (vectorized's plus the
-#: extras); imported by the effects auditor's compiled gate.
-_COMPILED_BYPASSED_SM_ATTRS = _BYPASSED_SM_ATTRS + _COMPILED_EXTRA_SM_ATTRS
+#: SM methods the fused event engine dispatches dynamically but the
+#: compiled driver never calls: the event loop's per-cycle step/next-event/
+#: level flush, the long-block check and barrier wake that run inside C
+#: between merge points, and the transit settle (dead under an inert
+#: policy, which never parks a CTA).  An instance-level wrapper on any of
+#: these would be silently skipped, so its presence routes the run to the
+#: event engine.
+_COMPILED_BYPASSED_SM_ATTRS = ("accumulate", "next_event", "next_event_fast",
+                               "_step_fast", "_on_long_block",
+                               "_wake_schedulers", "_settle_transits")
 
 #: Stats surface inlined: the per-segment level flush runs in C as int64
 #: sums (merged once at reconciliation).
@@ -65,41 +87,68 @@ _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
 _STATE_IDS = {state: index for index, state in enumerate(_STATES)}
 
 
-def compiled_run_eligible(gpu) -> bool:
+def instance_overrides(obj, names):
+    """Names from ``names`` shadowed in ``obj``'s instance dict.
+
+    An instance-level attribute shadows the class-level method the engine
+    would otherwise resolve, so any hit disqualifies the fast path.  Shared
+    by ``policy_inert`` / ``run_eligible`` and imported by the effect
+    auditor (``repro.analyze.effects``) so the bypass scan has one
+    implementation.
+    """
+    instance_dict = getattr(obj, "__dict__", None)
+    if not instance_dict:
+        return ()
+    return tuple(name for name in names if name in instance_dict)
+
+
+def policy_inert(policy) -> bool:
+    """True when ``policy`` is observably the base no-op policy."""
+    cls = type(policy)
+    for name in _INERT_POLICY_ATTRS:
+        if getattr(cls, name) is not getattr(RegisterFilePolicy, name):
+            return False
+    if instance_overrides(policy, _INERT_POLICY_ATTRS):
+        return False
+    return not policy.needs_issue_hook and not policy._blocked_on_rf
+
+
+def run_eligible(gpu) -> bool:
     """True when the whole run can execute on the C core.
 
-    Everything ``run_eligible`` demands, plus no instance-level overrides
-    on the additional surface the C core inlines (see the gate tuples
-    above).  Ineligible runs fall back down the chain -- never error.
+    Stricter than per-SM ``fast_step_eligible``: the CTA-level tracer
+    records launch/retire events in global order (which the decoupled
+    issue loops would scramble), concurrent kernels need the arbiter-aware
+    event engine, and any non-inert policy could create pending/transit
+    CTAs or observable idle/tick behaviour the closed-form accounting
+    omits.
     """
-    if not run_eligible(gpu):
+    if (gpu.sanitizer is not None or gpu.telemetry is not None
+            or gpu.tracer is not None or gpu.warp_tracer is not None):
+        return False
+    if len(gpu.launches) > 1:
         return False
     for sm in gpu.sms:
-        if instance_overrides(sm, _COMPILED_EXTRA_SM_ATTRS):
+        if not sm.fast_step_eligible():
+            return False
+        if instance_overrides(sm, _COMPILED_BYPASSED_SM_ATTRS):
             return False
         if instance_overrides(sm.stats, _COMPILED_BYPASSED_STATS_ATTRS):
+            return False
+        if not policy_inert(sm._policy):
             return False
         # The scheduler surface the C core inlines (the bucket scan, the
         # barrier wake, the sleep fold) needs no instance gate:
         # GTOScheduler declares __slots__, so instance-level overrides are
-        # impossible, and run_eligible already pins the exact type.
+        # impossible, and fast_step_eligible pins the exact type.
     return True
 
 
-def _fallback(gpu, max_cycles):
-    """Ineligible run: next backend down the auto chain."""
-    from repro.sim.backend import numpy_available
-    if numpy_available():
-        from repro.sim.vectorized import run_vectorized
-        return run_vectorized(gpu, max_cycles)
-    return gpu._run_event(max_cycles)
-
-
 def run_compiled(gpu, max_cycles):
-    """Drive one run on the C core (vectorized/fused fallback if not
+    """Drive one run on the C core (event-engine fallback if not
     eligible); bit-identical to the dense oracle by construction."""
-    if not compiled_run_eligible(gpu):
-        return _fallback(gpu, max_cycles)
+    if not run_eligible(gpu):
+        return gpu._run_event(max_cycles)
     gpu.engine_used = "compiled"
     sms = gpu.sms
     for sm in sms:
@@ -178,7 +227,7 @@ class _Run:
                         len(sm.active_ctas), sm._active_warps)
         # The C core owns the level-flush boundary from here on (it clears
         # its dirty bit at its own end-of-cycle flush, exactly where the
-        # vectorized runner clears this flag).
+        # fused step's buffered flush boundary falls).
         sm._lvl_dirty = False
 
     # ------------------------------------------------------------------
@@ -264,11 +313,10 @@ class _Run:
                 heap.append((desc[1], sm.sm_id))
         heapify(heap)
 
-        # K-way merge on (cycle, sm_id), exactly run_vectorized's: resume
-        # cycles are nondecreasing and each SM holds one outstanding op,
-        # so serving the heap minimum reproduces the dense global order;
-        # the inner loop keeps serving the same SM while it remains the
-        # minimum.
+        # K-way merge on (cycle, sm_id): resume cycles are nondecreasing
+        # and each SM holds one outstanding op, so serving the heap minimum
+        # reproduces the dense global order; the inner loop keeps serving
+        # the same SM while it remains the minimum.
         while heap:
             cycle, sm_id = heappop(heap)
             sm = sms[sm_id]
@@ -298,7 +346,11 @@ class _Run:
                         heappush(heap, (cycle, sm_id))
                         break
 
-        # ---- reconciliation: identical to run_vectorized's ----
+        # ---- reconciliation: global clock, timeout, deadlock ----
+        # With L the global last issue (no SM executes a cycle >=
+        # max_cycles): all drained -> L + 1, no timeout; L + 1 >=
+        # max_cycles -> L + 1, timeout; otherwise the min busy-SM wake
+        # (each >= max_cycles), or a deadlock at L + 1 when it is FOREVER.
         last = -1
         for summary in results:
             if summary[2] > last:
@@ -341,6 +393,9 @@ class _Run:
             dt = now_final - seg_start
             if dt and (seg_active or seg_warps):
                 stats.accumulate(dt, seg_active, 0, seg_warps)
+            # Idle = busy span minus issue cycles: [0, now_final) for a
+            # busy-at-end SM; [0, last_issue) plus the drain cycle itself
+            # (which the dense engine sees already retired) for a drained one.
             if was_busy:
                 stats.idle_cycles += now_final - n_issue
             elif last_i >= 0:

@@ -115,7 +115,7 @@ class KernelLaunch:
         """The warp's trace, rebased by ``index_base``.
 
         The base-0 launch returns the provider's memoized list *object*
-        unchanged — identity the vectorized backend's trace tables rely
+        unchanged — identity the compiled backend's trace interning keys
         on — so single-kernel behaviour is untouched.
         """
         trace: Sequence[int] = self.trace_provider.trace_for(

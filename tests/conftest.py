@@ -7,6 +7,9 @@ fast; integration tests that need more override locally.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +17,64 @@ import pytest
 # cache tests construct an explicit ResultCache on a tmp_path instead.
 os.environ.setdefault("REPRO_CACHE", "off")
 
+import repro.sim
 from repro.config import GPUConfig, TINY, default_config
 from repro.core.liveness import LivenessAnalysis
 from repro.experiments.runner import ExperimentRunner
 from repro.isa.cfg import ControlFlowGraph, EdgeKind
 from repro.isa.instructions import AccessPattern, Instruction, Opcode
 from repro.isa.kernel import Kernel, LaunchGeometry
+from repro.sim import backend
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
+
+_CKERNEL_DIR = pytest.StashKey[Path]()
+
+
+def _build_ckernel(out: Path) -> None:
+    """Compile ``repro.sim._ckernel`` into ``out`` (never into ``src/``)."""
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    source = Path(__file__).resolve().parents[1] / "src/repro/sim/_ckernel.c"
+    dist = Distribution({"ext_modules": [
+        Extension("repro.sim._ckernel", sources=[str(source)])]})
+    cmd = build_ext(dist)
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "obj")
+    cmd.ensure_finalized()
+    cmd.run()
+
+
+def pytest_sessionstart(session):
+    """Make the default engine (``auto`` -> compiled) the one under test.
+
+    When the C extension is not importable, build it into a temp dir and
+    append that dir to ``repro.sim.__path__``, so the compiled-backend
+    tests and the differential matrix's compiled leg run whenever a working
+    C compiler exists.  This runs before collection because the
+    ``compiled_available()`` skip markers and engine tuples are evaluated
+    at import time.  Without a compiler (e.g. ``CC=false``) the build fails
+    and those tests skip: ``auto`` then degrades to the fused engine.
+    """
+    if backend.compiled_available():
+        return
+    from setuptools.errors import BaseError, CCompilerError
+
+    out = Path(tempfile.mkdtemp(prefix="repro-ckernel-"))
+    session.config.stash[_CKERNEL_DIR] = out
+    try:
+        _build_ckernel(out)
+    except (BaseError, CCompilerError):  # no working C toolchain
+        return
+    repro.sim.__path__.append(str(out / "repro" / "sim"))
+    backend._COMPILED_AVAILABLE = None
+
+
+def pytest_sessionfinish(session, exitstatus):
+    out = session.config.stash.get(_CKERNEL_DIR, None)
+    if out is not None:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 @pytest.fixture

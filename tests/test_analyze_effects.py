@@ -3,9 +3,9 @@
 The acceptance contract of the auditor (docs/ANALYZE.md):
 
 * the current tree passes ``--effects --strict`` clean;
-* deleting *any* entry of ``_BYPASSED_SM_ATTRS``, ``_INERT_POLICY_ATTRS``
-  or ``_COMPILED_BYPASSED_SM_ATTRS`` produces the corresponding HIGH
-  finding (the tuples are load-bearing, entry by entry);
+* deleting *any* entry of ``_COMPILED_BYPASSED_SM_ATTRS`` or
+  ``_INERT_POLICY_ATTRS`` produces the corresponding HIGH finding (the
+  tuples are load-bearing, entry by entry);
 * stale entries (naming nothing engine-reachable) are flagged so the
   gates cannot silently rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
@@ -21,13 +21,17 @@ from repro.analyze.effects import (
     audit_effects,
     default_effects_config,
 )
-from repro.analyze.effects_selftest import SEEDED_FAULTS, run_seeded_fault
+from repro.analyze.effects_selftest import (
+    SEEDED_FAULTS,
+    SeededFault,
+    _dropped_bypass_entry,
+    run_seeded_fault,
+)
 from repro.analyze.lint import default_lint_paths, default_lint_root
 from repro.policies.base import RegisterFilePolicy
 from repro.policies.baseline import BaselinePolicy
-from repro.sim.compiled import _COMPILED_BYPASSED_SM_ATTRS
-from repro.sim.vectorized import (
-    _BYPASSED_SM_ATTRS,
+from repro.sim.compiled import (
+    _COMPILED_BYPASSED_SM_ATTRS,
     _INERT_POLICY_ATTRS,
     instance_overrides,
 )
@@ -67,23 +71,24 @@ class TestCleanTree:
     def test_advisories_only_name_known_tags(self):
         report = audit_effects()
         infos = _tags_at(report, Severity.INFO)
-        assert infos <= {"inert-gate-candidate", "bypass-gate-candidate",
-                         "compiled-gate-candidate",
+        assert infos <= {"inert-gate-candidate", "compiled-gate-candidate",
                          "inert-policy-passthrough"}
 
 
 class TestGateDeletions:
     """Every single tuple entry must be provably load-bearing."""
 
-    @pytest.mark.parametrize("entry", _BYPASSED_SM_ATTRS)
+    @pytest.mark.parametrize("entry", _COMPILED_BYPASSED_SM_ATTRS)
     def test_deleting_bypass_entry_is_high(self, entry):
-        config = default_effects_config()
-        config = replace(config, bypassed_sm_attrs=tuple(
-            name for name in config.bypassed_sm_attrs if name != entry))
-        report = audit_effects(config)
-        hits = [f for f in report.by_tag("bypass-gate-missing")
-                if f.severity == Severity.ERROR and entry in f.message]
-        assert hits, report.format(f"no HIGH for dropped {entry!r}")
+        """Every entry also goes through the self-test's fault builder,
+        and the dropped entry is the *only* WARNING-or-worse finding: one
+        deletion must not drown the report in collateral tags."""
+        case = SeededFault(f"dropped_{entry}", "compiled-gate-missing",
+                           Severity.ERROR, f"{entry} removed",
+                           _dropped_bypass_entry(entry))
+        result = run_seeded_fault(case)
+        assert result.detected, result.error or result.tags
+        assert result.tags == ("compiled-gate-missing",)
 
     @pytest.mark.parametrize("entry", _COMPILED_BYPASSED_SM_ATTRS)
     def test_deleting_compiled_entry_is_high(self, entry):
@@ -111,13 +116,17 @@ class TestStaleEntries:
     """Entries naming nothing engine-reachable must be reported."""
 
     def test_bogus_bypass_entry_is_stale(self):
+        """An SM *data* attribute in the tuple is worse than a typo: it
+        sits in every SM's instance dict, so the instance-dict scan would
+        route every run off the compiled core."""
         config = default_effects_config()
-        config = replace(config, bypassed_sm_attrs=(
-            config.bypassed_sm_attrs + ("definitely_not_an_sm_method",)))
+        config = replace(config, compiled_bypassed_sm_attrs=(
+            config.compiled_bypassed_sm_attrs + ("schedulers",)))
         report = audit_effects(config)
-        hits = [f for f in report.by_tag("bypass-gate-stale")
-                if "definitely_not_an_sm_method" in f.message]
-        assert hits, report.format("stale bypass entry not reported")
+        hits = [f for f in report.by_tag("compiled-gate-stale")
+                if f.severity == Severity.WARNING
+                and "'schedulers'" in f.message]
+        assert hits, report.format("data-attribute entry not reported")
 
     def test_bogus_compiled_entry_is_stale(self):
         config = default_effects_config()

@@ -144,7 +144,7 @@ class TestNumpyRandom:
         assert findings == []
 
     def test_stateless_ufuncs_produce_no_findings(self):
-        # The vectorized engine backend's numpy usage: pure array ops.
+        # Pure array ops draw no randomness.
         findings = lint("""
             import numpy as np
 

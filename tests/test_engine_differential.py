@@ -1,20 +1,20 @@
-"""Engine differential tests (dense × fused × vectorized × compiled).
+"""Engine differential tests (dense × fused × compiled).
 
 Every engine backend is a pure performance transformation: for every
 workload, policy and seed it must produce a ``SimResult`` that is
 *byte-identical* (as sorted JSON) to the dense per-cycle oracle retained
 behind ``REPRO_DENSE_STEP=1``.  These tests pin that contract over the
 full golden corpus and over hypothesis-chosen (app, seed) micro-workloads
-for every registered policy, for the fused event engine, the decoupled
-vectorized backend and (when the ``repro.sim._ckernel`` extension is
-built) the compiled backend, so any divergence introduced in the fused
-fast step, the wakeup computation, the closed-form idle-span accounting,
-the vectorized merge driver, or the C core's lowering/write-back protocol
-fails loudly with a payload diff instead of silently drifting the
-science.
+for every registered policy, for the fused event engine and (when the
+``repro.sim._ckernel`` extension is built -- the test session builds it
+whenever a C compiler works) the compiled backend, so any divergence
+introduced in the fused fast step, the wakeup computation, the
+closed-form idle-span accounting, the merge driver, or the C core's
+lowering/write-back protocol fails loudly with a payload diff instead of
+silently drifting the science.
 
 The golden replays run *bare* (no tracer/sanitizer) for the engine
-comparison so the vectorized backend actually engages on the baseline
+comparison so the compiled backend actually engages on the baseline
 case -- ``run_case`` attaches a CTA tracer, which conservatively routes a
 run back to the fused engine (tests/test_engine_backend.py covers that
 fallback routing itself).
@@ -44,18 +44,18 @@ from repro.workloads.suite import get_spec
 TINY = SCALES["tiny"]
 #: Two SMs keep the micro-workloads fast while still exercising the
 #: cross-SM parts of the engines (shared L2/DRAM, global cycle advance,
-#: the vectorized merge driver's cross-runner ordering).
+#: the compiled merge driver's cross-SM ordering).
 MICRO_CONFIG = GPUConfig(num_sms=2)
 APPS = ("KM", "HS", "LB")
 
 #: The production backends differentially pinned to the dense oracle.
 #: The compiled leg joins the matrix whenever its extension is importable
-#: (built best-effort at install; the extension-absent CI job runs the
-#: suite without it, so the conditional is part of the contract).
+#: (the test session builds it when a C compiler works; the
+#: extension-absent CI job runs the suite without it, so the conditional
+#: is part of the contract).
 from repro.sim.backend import compiled_available  # noqa: E402
 
-ENGINES = ("fused", "vectorized") + (
-    ("compiled",) if compiled_available() else ())
+ENGINES = ("fused",) + (("compiled",) if compiled_available() else ())
 
 
 @contextmanager
@@ -145,25 +145,15 @@ def test_uninstrumented_run_binds_the_fast_path():
         "fast_step_eligible() stopped admitting a plain uninstrumented run")
 
 
-def test_uninstrumented_baseline_run_takes_the_vectorized_path():
-    """The decoupled runners must actually engage for a plain baseline run
-    (guards run_eligible drift, mirroring the fast-path binding test)."""
-    gpu = build_micro_gpu("baseline", "KM", 0)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    assert gpu.engine_used == "vectorized", (
-        "run_eligible() stopped admitting a plain uninstrumented baseline "
-        f"run (engine_used={gpu.engine_used!r})")
-
-
 @pytest.mark.skipif(not compiled_available(),
                     reason="repro.sim._ckernel extension not built")
 def test_uninstrumented_baseline_run_takes_the_compiled_path():
     """The C core must actually engage for a plain baseline run (guards
-    compiled_run_eligible drift)."""
+    run_eligible drift, mirroring the fast-path binding test)."""
     gpu = build_micro_gpu("baseline", "KM", 0)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled", (
-        "compiled_run_eligible() stopped admitting a plain uninstrumented "
+        "run_eligible() stopped admitting a plain uninstrumented "
         f"baseline run (engine_used={gpu.engine_used!r})")
 
 
@@ -197,8 +187,8 @@ def test_golden_case_bare_three_way_differential(case, engine):
 # ----------------------------------------------------------------------
 def test_run_eligible_rejects_concurrent_runs():
     """Multi-launch GPUs must be conservatively routed away from the
-    decoupled vectorized runners (which model one grid per SM)."""
-    from repro.sim.vectorized import run_eligible
+    C core (which models one grid per SM)."""
+    from repro.sim.compiled import run_eligible
 
     single = build_micro_gpu("baseline", "KM", 0)
     assert run_eligible(single)
@@ -209,8 +199,7 @@ def test_run_eligible_rejects_concurrent_runs():
 @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "fused"])
 @pytest.mark.parametrize("policy", ("baseline", "finereg"))
 def test_concurrent_decoupled_request_falls_back_to_fused(policy, engine):
-    """An explicit ``engine="vectorized"``/``"compiled"`` request on a
-    concurrent run must land on the arbiter-aware event engine -- and
+    """An explicit ``engine="compiled"`` request on a concurrent run must land on the arbiter-aware event engine -- and
     still be byte-identical to the dense oracle."""
     with dense_engine():
         dense = build_concurrent_gpu("st+km", policy).run(

@@ -12,7 +12,7 @@ A full run also sweeps a per-app x per-policy benchmark ``matrix`` (KM,
 HS and LB under every registered policy at the chosen scale) so BENCH
 captures throughput beyond the single headline workload, plus a
 ``backends`` section timing the default benchmark under every engine
-backend (reference / fused / vectorized / compiled, see
+backend (reference / fused / compiled, see
 ``repro.sim.backend``) so regressions are caught per backend rather than
 only on the default.
 
@@ -28,7 +28,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_sim.py [--app KM] [--policy baseline]
         [--scale small] [--repeats 3] [--out BENCH_sim.json] [--top 15]
-        [--backend auto|reference|fused|vectorized|compiled]
+        [--backend auto|reference|fused|compiled]
         [--quick] [--check BENCH_sim.json]
 """
 
@@ -47,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.config import SCALES, default_config  # noqa: E402
 from repro.experiments.parallel import RunRequest, simulate_request  # noqa: E402
 from repro.sim.backend import (ENGINE_NAMES, compiled_available,  # noqa: E402
-                               numpy_available, select_backend)
+                               select_backend)
 from repro.workloads.generator import build_workload  # noqa: E402
 from repro.workloads.suite import get_spec  # noqa: E402
 
@@ -106,7 +106,7 @@ def profile_run(app: str, policy: str, scale_name: str, repeats: int,
         "policy": policy,
         "scale": scale_name,
         # Resolved engine for the headline run (run-level eligibility can
-        # still degrade vectorized -> fused for instrumented runs; the
+        # still degrade compiled -> fused for instrumented runs; the
         # headline benchmark is uninstrumented, so this is what executed).
         "backend": select_backend(engine),
         "stages": {
@@ -131,18 +131,14 @@ def bench_backends(app: str, policy: str, scale_name: str,
                    repeats: int) -> dict:
     """Best-of wall clock of the headline benchmark under every backend.
 
-    Skips ``vectorized`` / ``compiled`` (with a recorded reason) when
-    numpy / the C extension is missing so the sweep still completes in a
-    degraded environment.
+    Skips ``compiled`` (with a recorded reason) when the C extension is
+    missing so the sweep still completes in a degraded environment.
     """
     scale = SCALES[scale_name]
     config = default_config(scale)
     instance = build_workload(get_spec(app), config, scale)
     backends: dict = {}
-    for name in ("reference", "fused", "vectorized", "compiled"):
-        if name == "vectorized" and not numpy_available():
-            backends[name] = {"skipped": "numpy not importable"}
-            continue
+    for name in ("reference", "fused", "compiled"):
         if name == "compiled" and not compiled_available():
             backends[name] = {
                 "skipped": "compiled extension (_ckernel) not importable"}
