@@ -27,11 +27,11 @@ lint statically flags the code patterns that silently break that purity:
 * ``wall-clock-allowance`` (error) — a *suppressed* wall-clock read in a
   file outside the sanctioned clock modules
   (:data:`_CLOCK_EXEMPT_SUFFIXES`).  Host-time reads are confined to
-  ``repro.obs.clock``, ``repro.telemetry.selfprof`` and the ``tools/``
-  benchmark scripts; everything else must route through those modules so
-  the audit surface stays one file per tier.  This fires on the
-  suppression itself, so sprinkling ``# lint: allow[wall-clock]`` in new
-  code fails the gate rather than silently widening the exemption.
+  ``repro.obs.clock`` and the ``tools/`` benchmark scripts; everything
+  in ``src/repro`` must route through ``repro.obs.clock`` so the audit
+  surface stays one file.  This fires on the
+  suppression itself, so sprinkling wall-clock allow tags in new code
+  fails the gate rather than silently widening the exemption.
 
 Suppression: append ``# lint: allow[<tag>]`` (or a bare ``# lint: allow``)
 to the offending line.  Suppressions are deliberate, reviewable markers —
@@ -71,12 +71,11 @@ _CLOCK_CALLS = {
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*allow(?:\[([a-z0-9_,\- ]+)\])?")
 
-#: Files whose audited ``# lint: allow[wall-clock]`` tags are sanctioned:
-#: the one clock module per tier (simulator telemetry, campaign
-#: observability) plus the host-benchmark scripts.  A suppressed
-#: wall-clock read anywhere else raises ``wall-clock-allowance``.
+#: Files whose audited wall-clock allow tags are sanctioned:
+#: the one clock module of ``src/repro`` plus the host-benchmark scripts.
+#: A suppressed wall-clock read anywhere else raises
+#: ``wall-clock-allowance``.
 _CLOCK_EXEMPT_SUFFIXES: Tuple[str, ...] = (
-    "repro/telemetry/selfprof.py",
     "repro/obs/clock.py",
     "tools/profile_sim.py",
     "tools/calibrate.py",
@@ -152,9 +151,8 @@ class _ModuleLinter(ast.NodeVisitor):
                     message=(
                         "suppressed wall-clock read outside the sanctioned "
                         "clock modules; route host timing through "
-                        "repro.obs.clock (campaign tier) or "
-                        "repro.telemetry.selfprof (simulator telemetry) "
-                        "instead of widening the exemption"),
+                        "repro.obs.clock instead of widening the "
+                        "exemption"),
                     source="determinism-lint", path=self.path, line=line))
             return
         self.findings.append(Finding(
@@ -255,8 +253,7 @@ class _ModuleLinter(ast.NodeVisitor):
                         "wall-clock", Severity.ERROR,
                         f"wall-clock read `{base.id}.{func.attr}()`; "
                         f"simulated time must come from the cycle counter "
-                        f"(suppress with `# lint: allow[wall-clock]` for "
-                        f"pure reporting code)",
+                        f"(host timing goes through repro.obs.clock)",
                         node)
             elif isinstance(base, ast.Attribute) and \
                     isinstance(base.value, ast.Name):

@@ -256,7 +256,7 @@ def run_requests(payloads: Sequence[Payload],
         # dispatch keeps the pool balanced.
         if obs is None:
             return pool.map(_simulate_payload, payloads, chunksize=1)
-        obs.pool_begin(jobs, len(payloads))
+        obs.pool_begin()
         spans = [obs.open_request(request)
                  for __, __, request in payloads]
         slots: List[Optional[SimResult]] = [None] * len(payloads)

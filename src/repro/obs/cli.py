@@ -16,103 +16,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.obs.events import ObsLogError, events_of, load_log
-from repro.obs.export import spans_from_events, write_campaign_perfetto
+from repro.obs.events import ObsLogError, load_log, summarize_events
+from repro.obs.export import write_campaign_perfetto
 from repro.obs.schema import check_obs_event
-from repro.obs.spans import Span, reconcile_spans
 from repro.obs.trajectory import (DEFAULT_HISTORY, DEFAULT_THRESHOLD,
                                   detect_regressions, load_history,
                                   trajectory_report)
-
-
-def _span_objects(span_dicts: Sequence[Dict]) -> List[Span]:
-    spans: List[Span] = []
-    for entry in span_dicts:
-        span = Span(int(entry["span"]), entry.get("parent"),
-                    str(entry["name"]), str(entry["kind"]),
-                    float(entry["t_start"]), worker=entry.get("worker"))
-        if entry.get("dur_s") is not None:
-            span.t_end = span.t_start + float(entry["dur_s"])
-        spans.append(span)
-    return spans
-
-
-def summarize_events(events: Sequence[Dict]) -> Dict:
-    """Campaign summary computed purely from a validated event stream."""
-    events = list(events)
-    starts = events_of(events, "campaign_start")
-    ends = events_of(events, "campaign_end")
-    lookups = events_of(events, "cache_lookup")
-    stores = events_of(events, "cache_store")
-    runs = events_of(events, "run_complete")
-    stalls = events_of(events, "stall")
-    hits = sum(1 for event in lookups if event["hit"])
-
-    span_dicts = spans_from_events(events)
-    spans = _span_objects(span_dicts)
-    kind_of = {span.span_id: span.kind for span in spans}
-    campaign_span = next((s for s in spans if s.kind == "campaign"), None)
-    if campaign_span is not None:
-        wall = campaign_span.duration
-    elif events:
-        wall = float(events[-1]["t"]) - float(events[0]["t"])
-    else:
-        wall = 0.0
-
-    phases: List[Dict] = []
-    for span in spans:
-        if span.kind != "phase":
-            continue
-        if span.parent_id is not None \
-                and kind_of.get(span.parent_id) == "request":
-            continue
-        phases.append({"phase": span.name,
-                       "wall_s": round(span.duration, 6)})
-
-    workers: Dict[str, int] = {}
-    busy = 0.0
-    for event in runs:
-        worker = event.get("worker")
-        if worker is not None:
-            workers[str(worker)] = workers.get(str(worker), 0) + 1
-        busy += float(event["dur_s"])
-    jobs = int(starts[0]["jobs"]) if starts else 1
-    utilization = round(busy / (jobs * wall), 6) if wall > 0 else None
-
-    return {
-        "campaign": {
-            "label": starts[0]["label"] if starts else None,
-            "total": int(starts[0]["total"]) if starts else None,
-            "jobs": jobs,
-            "completed": (int(ends[-1]["completed"]) if ends
-                          else len(runs)),
-            "wall_s": round(wall, 6),
-        },
-        "cache": {
-            "lookups": len(lookups),
-            "hits": hits,
-            "misses": len(lookups) - hits,
-            "hit_rate": (round(hits / len(lookups), 6)
-                         if lookups else None),
-            "stores": len(stores),
-            "stored_bytes": sum(int(e["bytes"]) for e in stores),
-        },
-        "runs": {
-            "completed": len(runs),
-            "busy_s": round(busy, 6),
-            "mean_s": round(busy / len(runs), 6) if runs else None,
-        },
-        "workers": {
-            "seen": len(workers),
-            "runs_by_worker": {w: workers[w] for w in sorted(workers)},
-            "utilization": utilization,
-            "stall_events": len(stalls),
-        },
-        "phases": phases,
-        "reconcile": reconcile_spans(spans),
-    }
 
 
 def format_summary(summary: Dict) -> str:

@@ -1,16 +1,14 @@
-"""Orchestration-tier host clock -- the obs layer's ONE wall-clock module.
+"""Host clock -- the one host-clock module of ``src/repro``.
 
-Every other `repro.obs` module measures time by calling :func:`monotonic`
-from here; none touches ``time`` directly.  Together with
-``telemetry/selfprof.py`` this is the complete set of modules allowed to
-read the host clock inside ``src/repro``: the determinism lint's
-wall-clock-allowance audit (see ``repro.analyze.lint``) fails any
+Every module that measures host time (the campaign obs tier, ``repro
+trace``'s simulator-speed row) calls :func:`monotonic` from here; none
+touches ``time`` directly.  The determinism lint's wall-clock-allowance
+audit (see ``repro.analyze.lint``) fails any
 ``# lint: allow[wall-clock]`` suppression elsewhere, and a test strips the
 tags below to prove they are load-bearing.
 
-Only the *simulator* must be deterministic; the campaign tier measures
-itself with these clocks without ever feeding a reading back into a
-simulation.
+Only the *simulator* must be deterministic; host-time measurements are
+never fed back into a simulation.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def phase_rows(spans: Sequence[Span]) -> List[Tuple[str, str, float]]:
 
     Worker-side phases (whose parents are ``request`` spans) are omitted:
     the campaign-level breakdown reports orchestration phases, not the
-    thousands of per-run repeats (those live in the metrics histograms).
+    thousands of per-run repeats (those stay in the event log).
     """
     by_id = {span.span_id: span for span in spans}
     rows: List[Tuple[str, str, float]] = []

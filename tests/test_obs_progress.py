@@ -108,7 +108,7 @@ class TestSessionStallScenario:
         session = ObsSession(progress=True, stream=io.StringIO(),
                              now=clock, stall_min_s=1.0)
         session.campaign_begin(total=3, jobs=2, label="stall-test")
-        session.pool_begin(jobs=2, outstanding=3)
+        session.pool_begin()
 
         # Worker 1 completes quickly; worker 2 is the straggler.
         span1 = session.open_request(self._request())
@@ -136,14 +136,14 @@ class TestSessionStallScenario:
         clock.advance(0.2)
         session.idle_tick()
         assert len(events_of(session.log.events, "stall")) == before
-        assert session.summary()["stall_events"] == before
+        assert session.summary()["workers"]["stall_events"] == before
         session.close()
 
     def test_healthy_pool_logs_no_stalls(self):
         clock = FakeClock()
         session = ObsSession(now=clock, stall_min_s=1.0)
         session.campaign_begin(total=2, jobs=2)
-        session.pool_begin(jobs=2, outstanding=2)
+        session.pool_begin()
         for index in range(2):
             span = session.open_request(self._request())
             clock.advance(0.2)
@@ -154,9 +154,10 @@ class TestSessionStallScenario:
         session.campaign_end()
         assert events_of(session.log.events, "stall") == []
         summary = session.summary()
-        assert summary["stall_events"] == 0
-        assert summary["reconcile"]["spans"] == []
-        assert summary["reconcile"]["metrics"] == []
+        assert summary["workers"]["stall_events"] == 0
+        assert summary["reconcile"] == []
+        assert summary["runs"]["completed"] == 2
+        assert summary["workers"]["runs_by_worker"] == {"1": 1, "2": 1}
         session.close()
 
     def test_progress_renders_to_stream_with_eta(self):

@@ -200,7 +200,7 @@ class TestPhaseRows:
 
 
 class TestClockConfinement:
-    """The obs tier reads wall clocks only through repro.obs.clock, and
+    """``src/repro`` reads wall clocks only through repro.obs.clock, and
     the determinism lint enforces that confinement."""
 
     def test_shipped_clock_module_is_lint_clean_but_tags_are_real(self):
@@ -216,18 +216,22 @@ class TestClockConfinement:
             "stripping the allow tags must expose the clock reads")
 
     def test_no_other_obs_module_reads_the_clock_directly(self):
+        """No module of ``src/repro`` but obs/clock.py reads the clock."""
         from repro.analyze.lint import lint_file
-        import repro.obs as obs_pkg
+        import repro
+        import repro.obs.clock as obs_clock
 
-        pkg_dir = Path(obs_pkg.__file__).parent
-        for module in sorted(pkg_dir.glob("*.py")):
-            if module.name == "clock.py":
+        pkg_dir = Path(repro.__file__).parent
+        modules = sorted(pkg_dir.rglob("*.py"))
+        assert len(modules) > 50
+        for module in modules:
+            if module == Path(obs_clock.__file__):
                 continue
             findings = lint_file(module)
             clocky = [f for f in findings
                       if f.tag in ("wall-clock", "wall-clock-allowance")]
             assert not clocky, (
-                f"{module.name} must route timing through repro.obs.clock: "
+                f"{module} must route timing through repro.obs.clock: "
                 f"{[f.message for f in clocky]}")
 
     def test_allowance_audit_rejects_suppressed_clocks_elsewhere(self):
@@ -238,8 +242,14 @@ class TestClockConfinement:
         src = ("import time\n"
                "def f():\n"
                "    return time.time()  # lint: allow[wall-clock]\n")
-        findings = lint_source(src, path="src/repro/experiments/foo.py")
-        assert [f.tag for f in findings] == ["wall-clock-allowance"]
+        for path in ("src/repro/experiments/foo.py",
+                     # a former clock module is not sanctioned either
+                     "src/repro/telemetry/selfprof.py"):
+            findings = lint_source(src, path=path)
+            assert [f.tag for f in findings] == ["wall-clock-allowance"], \
+                path
+            assert "repro.obs.clock" in findings[0].message
+            assert "selfprof" not in findings[0].message
 
     def test_allowance_audit_exempts_the_audited_modules(self):
         from repro.analyze.lint import lint_source
@@ -248,7 +258,6 @@ class TestClockConfinement:
                "def f():\n"
                "    return time.time()  # lint: allow[wall-clock]\n")
         for exempt in ("src/repro/obs/clock.py",
-                       "src/repro/telemetry/selfprof.py",
                        "tools/profile_sim.py"):
             assert lint_source(src, path=exempt) == [], exempt
 

@@ -3,9 +3,26 @@
 import json
 from pathlib import Path
 
+from repro.config import TINY
+from repro.experiments import run_all
 from repro.experiments.run_all import CAMPAIGN, run_campaign, write_report
+from repro.experiments.runner import ExperimentRunner
+from repro.obs.events import load_log, summarize_events
+from repro.obs.session import ObsSession
 from repro.telemetry.rollup import render_rollup, rollup_results
-from repro.telemetry.selfprof import SelfProfiler
+
+
+def observed_runner(label="run_all:tiny"):
+    runner = ExperimentRunner(scale=TINY)
+    session = ObsSession()
+    runner.attach_obs(session)
+    session.campaign_begin(total=0, jobs=2, label=label)
+    return runner, session
+
+
+def closed_phases(session):
+    return {s.name: s for s in session.recorder.spans
+            if s.kind == "phase" and s.closed}
 
 
 class TestCampaignDefinition:
@@ -27,29 +44,33 @@ class TestCampaignDefinition:
 
 
 class TestCampaignExecution:
-    def test_subset_runs_and_reports(self, tiny_runner, tmp_path):
-        results = run_campaign(tiny_runner, modules=["fig03_cta_overhead"])
+    def test_subset_runs_and_reports(self, tmp_path):
+        runner, session = observed_runner()
+        results = run_campaign(runner, modules=["fig03_cta_overhead"])
+        session.close()
         assert len(results) == 1
         assert results[0].experiment == "fig03"
-        assert "_elapsed_s" in results[0].summary
+        # The per-module wall time is the render span, not a summary key
+        # (summaries, and so REPORT.md, carry no host time).
+        assert "_elapsed_s" not in results[0].summary
+        assert closed_phases(session)["render:fig03_cta_overhead"] \
+            .duration >= 0
         report = tmp_path / "REPORT.md"
         write_report(results, report, "tiny")
         text = report.read_text()
         assert "# FineReg reproduction" in text
         assert "fig03" in text
 
-    def test_profiled_campaign_with_rollup_report(self, tiny_runner,
-                                                  tmp_path):
-        profiler = SelfProfiler()
-        results = run_campaign(tiny_runner, modules=["fig03_cta_overhead"],
-                               profiler=profiler)
-        phases = {p["name"] for p in profiler.as_payload()["phases"]}
-        assert {"plan+prefetch", "render"} <= phases
+    def test_profiled_campaign_with_rollup_report(self, tmp_path):
+        runner, session = observed_runner()
+        results = run_campaign(runner, modules=["fig03_cta_overhead"])
+        assert {"plan+prefetch", "render"} <= set(closed_phases(session))
         # Roll-up derives purely from the memoized SimResults (fig03 is
         # analytic, so simulate a pair of runs to have something to roll up).
-        tiny_runner.run("KM", "finereg")
-        tiny_runner.run("KM", "baseline")
-        rollup = rollup_results(tiny_runner.memoized_results())
+        runner.run("KM", "finereg")
+        runner.run("KM", "baseline")
+        session.close()
+        rollup = rollup_results(runner.memoized_results())
         assert rollup["groups"]
         assert all(g["runs"] > 0 for g in rollup["groups"])
         report = tmp_path / "REPORT.md"
@@ -59,24 +80,54 @@ class TestCampaignExecution:
         assert "## Telemetry roll-up" in text
         assert "stall p50" in text
         # ... so the BENCH payload round-trips through JSON.
-        payload = profiler.as_payload()
-        payload["rollup"] = rollup
+        payload = {"obs": session.summary(), "rollup": rollup}
         assert json.loads(json.dumps(payload)) == payload
+        assert payload["obs"]["runs"]["completed"] == 2
+
+
+class TestBenchCampaign:
+    """``BENCH_campaign.json`` is derived from the obs event log alone."""
+
+    def _main(self, tmp_path, jobs):
+        out = tmp_path / f"out-{jobs}"
+        log = out / "obs.jsonl"
+        assert run_all.main(["--scale", "tiny", "--jobs", str(jobs),
+                             "--only", "fig04_case_study",
+                             "--out", str(out), "--obs-log", str(log)]) == 0
+        bench = json.loads((out / "BENCH_campaign.json").read_text())
+        return bench, summarize_events(load_log(str(log)))
+
+    def test_serial_bench_obs_is_the_log_summary(self, tmp_path):
+        bench, from_log = self._main(tmp_path, jobs=1)
+        assert set(bench) == {"obs", "rollup", "sim_cycles"}
+        assert bench["obs"] == from_log
+        # Serial runs count as busy: one utilization definition.
+        assert bench["obs"]["workers"]["utilization"] > 0
+        assert bench["obs"]["campaign"]["completed"] \
+            == bench["obs"]["campaign"]["total"] > 0
+        assert bench["sim_cycles"] > 0
+        phases = {row["phase"] for row in bench["obs"]["phases"]}
+        assert {"render", "render:fig04_case_study", "report"} <= phases
+        # REPORT.md carries host time only in the phase breakdown.
+        report = (tmp_path / "out-1" / "REPORT.md").read_text()
+        assert "_elapsed_s" not in \
+            report.split("## Campaign phase breakdown")[0]
+
+    def test_pooled_bench_obs_is_the_log_summary(self, tmp_path):
+        bench, from_log = self._main(tmp_path, jobs=2)
+        assert bench["obs"] == from_log
+        assert bench["obs"]["workers"]["utilization"] > 0
+        assert "plan+prefetch" in {row["phase"]
+                                   for row in bench["obs"]["phases"]}
 
 
 class TestCampaignObservability:
     def test_observed_campaign_reports_phase_breakdown(self, tmp_path):
         """An obs-instrumented campaign produces reconciling spans and a
         REPORT.md phase-breakdown section derived from them."""
-        from repro.config import TINY
-        from repro.experiments.runner import ExperimentRunner
-        from repro.obs.session import ObsSession
         from repro.obs.spans import phase_rows, reconcile_spans
 
-        runner = ExperimentRunner(scale=TINY)
-        session = ObsSession()
-        runner.attach_obs(session)
-        session.campaign_begin(total=0, jobs=2, label="run_all:tiny")
+        runner, session = observed_runner()
         results = run_campaign(runner, modules=["fig03_cta_overhead"])
         session.campaign_end()
 

@@ -1,5 +1,5 @@
 """The telemetry subsystem: registry, timelines, session, roll-up,
-self-profiling, and the observation-only guarantee."""
+``repro trace``, and the observation-only guarantee."""
 
 from __future__ import annotations
 
@@ -261,42 +261,19 @@ class TestRollup:
 
 
 # ----------------------------------------------------------------------
-# Self-profiling (the audited wall-clock exemption)
+# ``repro trace`` (one traced run, timed through repro.obs.clock)
 # ----------------------------------------------------------------------
-class TestSelfProfiler:
-    def test_phases_record_and_aggregate(self):
-        from repro.telemetry.selfprof import SelfProfiler
-        prof = SelfProfiler()
-        with prof.phase("simulate") as timer:
-            timer.sim_cycles = 1000
-        with prof.phase("render"):
-            pass
-        assert [p.name for p in prof.phases] == ["simulate", "render"]
-        assert prof.total_wall_s >= 0
-        payload = prof.as_payload()
-        assert payload["phases"][0]["sim_cycles"] == 1000
-        json.dumps(payload)
+class TestTraceCommand:
+    def test_run_trace_reports_speed_and_writes_a_valid_trace(
+            self, capsys, tmp_path):
+        from repro.telemetry.cli import run_trace
+        from repro.telemetry.schema import check_trace_payload
 
-    def test_cycles_per_second_needs_both_inputs(self):
-        from repro.telemetry.selfprof import PhaseProfile
-        assert PhaseProfile("x", 0.5, 1000).cycles_per_second == 2000
-        assert PhaseProfile("x", 0.5, None).cycles_per_second is None
-        assert PhaseProfile("x", 0.0, 1000).cycles_per_second is None
-
-    def test_shipped_module_is_lint_clean_but_exemption_is_real(self):
-        """selfprof.py is the one allowed wall-clock reader.  The shipped
-        file must pass the determinism lint (its reads carry allow tags),
-        and a copy with the tags stripped must be flagged -- proving the
-        tags are load-bearing, not decorative."""
-        from pathlib import Path
-
-        from repro.analyze.lint import lint_file, lint_source
-        import repro.telemetry.selfprof as selfprof
-
-        path = Path(selfprof.__file__)
-        assert not lint_file(path), "shipped selfprof.py must lint clean"
-        stripped = re.sub(r"\s*# lint: allow\[wall-clock\]", "",
-                          path.read_text())
-        findings = lint_source(stripped, path="selfprof_stripped.py")
-        assert any(f.tag == "wall-clock" for f in findings), (
-            "stripping the allow tags must expose the wall-clock reads")
+        out = tmp_path / "km.trace.json"
+        assert run_trace("KM", "finereg", "tiny", perfetto_out=str(out)) == 0
+        printed = capsys.readouterr().out
+        speed = [line for line in printed.splitlines()
+                 if line.startswith("simulator speed")]
+        assert len(speed) == 1
+        assert re.search(r"[\d,]+ cycles/s", speed[0]), speed[0]
+        assert check_trace_payload(json.loads(out.read_text())) == []
