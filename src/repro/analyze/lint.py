@@ -27,11 +27,11 @@ lint statically flags the code patterns that silently break that purity:
 * ``wall-clock-allowance`` (error) — a *suppressed* wall-clock read in a
   file outside the sanctioned clock modules
   (:data:`_CLOCK_EXEMPT_SUFFIXES`).  Host-time reads are confined to
-  ``repro.obs.clock`` and the ``tools/`` benchmark scripts; everything
-  in ``src/repro`` must route through ``repro.obs.clock`` so the audit
-  surface stays one file.  This fires on the
-  suppression itself, so sprinkling wall-clock allow tags in new code
-  fails the gate rather than silently widening the exemption.
+  ``repro.obs.clock`` and ``tools/calibrate.py``; everything in
+  ``src/repro`` must route through ``repro.obs.clock`` so the audit
+  surface stays one file.  This fires on the suppression itself, so
+  sprinkling wall-clock allow tags in new code fails the gate rather
+  than silently widening the exemption.
 
 Suppression: append ``# lint: allow[<tag>]`` (or a bare ``# lint: allow``)
 to the offending line.  Suppressions are deliberate, reviewable markers —
@@ -72,12 +72,11 @@ _CLOCK_CALLS = {
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*allow(?:\[([a-z0-9_,\- ]+)\])?")
 
 #: Files whose audited wall-clock allow tags are sanctioned:
-#: the one clock module of ``src/repro`` plus the host-benchmark scripts.
+#: the one clock module of ``src/repro`` plus the calibration script.
 #: A suppressed wall-clock read anywhere else raises
 #: ``wall-clock-allowance``.
 _CLOCK_EXEMPT_SUFFIXES: Tuple[str, ...] = (
     "repro/obs/clock.py",
-    "tools/profile_sim.py",
     "tools/calibrate.py",
 )
 

@@ -5,10 +5,10 @@ Where `repro.telemetry` records what one *simulation* did cycle by cycle,
 wall-clock spans (campaign -> request -> phases), a schema-validated JSONL
 event log (cache hit/miss/store, worker lifecycle, heartbeats, runs),
 live progress with ETA and stall detection, and a `repro obs` CLI that
-summarizes/tails a log, exports the spans to Perfetto, and tracks the
-perf trajectory across commits.  The event log is the campaign's only
-record: every campaign number (hit rate, utilization, phase breakdown,
-the ``obs`` block of ``BENCH_campaign.json``) is derived from it by
+summarizes/tails a log and exports the spans to Perfetto.  The event
+log is the campaign's only record: every campaign number (hit rate,
+utilization, phase breakdown, the ``obs`` block of
+``BENCH_campaign.json``) is derived from it by
 :func:`repro.obs.events.summarize_events`.
 
 The PR-4 invariant carries over verbatim: observability is observation-only

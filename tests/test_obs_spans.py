@@ -243,8 +243,9 @@ class TestClockConfinement:
                "def f():\n"
                "    return time.time()  # lint: allow[wall-clock]\n")
         for path in ("src/repro/experiments/foo.py",
-                     # a former clock module is not sanctioned either
-                     "src/repro/telemetry/selfprof.py"):
+                     # former clock modules are not sanctioned either
+                     "src/repro/telemetry/selfprof.py",
+                     "tools/profile_sim.py"):
             findings = lint_source(src, path=path)
             assert [f.tag for f in findings] == ["wall-clock-allowance"], \
                 path
@@ -258,7 +259,7 @@ class TestClockConfinement:
                "def f():\n"
                "    return time.time()  # lint: allow[wall-clock]\n")
         for exempt in ("src/repro/obs/clock.py",
-                       "tools/profile_sim.py"):
+                       "tools/calibrate.py"):
             assert lint_source(src, path=exempt) == [], exempt
 
     def test_untagged_clock_read_still_fails_as_wall_clock(self):
