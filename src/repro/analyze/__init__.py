@@ -16,8 +16,9 @@ and the simulator sources before they reach CI:
   break the golden-trace corpus and the content-addressed result cache.
 * :mod:`repro.analyze.effects` — the engine-equivalence effects audit:
   interprocedural effect summaries over the simulator source proving the
-  fused/compiled fast-path gates (``fast_step_eligible``,
-  ``_COMPILED_BYPASSED_SM_ATTRS``, ``_INERT_POLICY_ATTRS``) cover every
+  fused/compiled tiers of the engine gate in :mod:`repro.sim.backend`
+  (``_sm_fused_refusal``, ``_COMPILED_BYPASSED_SM_ATTRS``,
+  ``_INERT_POLICY_ATTRS``) cover every
   bypassed hook, plus a determinism audit of the launch/arbiter layer.
 * :mod:`repro.analyze.selftest` / :mod:`repro.analyze.effects_selftest` —
   deliberately broken kernels and seeded gate faults proving each

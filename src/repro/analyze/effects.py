@@ -1,13 +1,14 @@
 """Static engine-equivalence auditor: effect summaries for the fast-path gates.
 
 The fused (``SM._step_fast``) and compiled (``run_compiled``) backends are
-only sound because hand-maintained gates route every instrumented or
-specialised run back to a slower engine: ``fast_step_eligible``,
-``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``run_eligible`` /
-``_COMPILED_BYPASSED_SM_ATTRS``.  Nothing used to *verify* those lists — a
-new hook read on the reference path, or a new policy override outside the
-checked surface, silently diverged the fast paths instead of disabling
-them.
+only sound because the engine gate (:func:`repro.sim.backend.choose_engine`)
+routes every instrumented or specialised run back to a slower engine: the
+fused tier ``_sm_fused_refusal``, and the compiled tier
+``_compiled_refusal`` / ``_COMPILED_BYPASSED_SM_ATTRS`` plus
+``_policy_refusal`` / ``_INERT_POLICY_ATTRS``.  Nothing used to *verify*
+those lists — a new hook read on the reference path, or a new policy
+override outside the checked surface, silently diverged the fast paths
+instead of disabling them.
 
 This module parses the simulator source (no simulation is run) into
 per-method **effect summaries** — which attributes a method reads or
@@ -16,8 +17,9 @@ conditions — then closes them over the call graph and audits the gates:
 
 * **Fused-path completeness** — every effect of the reference step closure
   (``SM.step`` + scheduler ``issue`` + ``_try_issue``) that the fused
-  closure (``fast_step_eligible`` + ``_bind_fast_path`` + ``_step_fast``)
-  does not reproduce must be *covered*: mentioned by ``fast_step_eligible``,
+  closure (``_bind_fast_path`` + ``_step_fast``) does not reproduce must be
+  *covered*: checked by ``_sm_fused_refusal`` (its reads outside
+  ``return`` values; the reason strings it returns count for nothing),
   reachable only under a gate-checked guard (e.g. ``_div_forks`` behind
   ``self._wt``), or recorded in the audited fold table (``_FAST_FOLDED``,
   effects the fast step precomputes rather than re-reads).  Anything else
@@ -25,11 +27,11 @@ conditions — then closes them over the call graph and audits the gates:
 * **Compiled bypass completeness** — SM methods the fused event engine
   invokes dynamically but the compiled driver never calls must all appear
   in ``_COMPILED_BYPASSED_SM_ATTRS`` (or be barred by
-  ``fast_step_eligible``'s instance-dict scan), so an instance-level
+  ``_sm_fused_refusal``'s instance-dict scan), so an instance-level
   wrapper can never be skipped by the C core.
 * **Policy inertness derivation** — the engine-reachable base-policy
   surface is derived from the source and closed over base/override method
-  bodies; every derived name must be checked by ``policy_inert`` (via
+  bodies; every derived name must be checked by ``_policy_refusal`` (via
   ``_INERT_POLICY_ATTRS`` or its direct attribute reads), every subclass
   that overrides any base hook must override at least one *checked* one,
   and stale or never-overridden entries are reported.
@@ -61,8 +63,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from repro.analyze.lint import lint_source
-from repro.sim.compiled import (_COMPILED_BYPASSED_SM_ATTRS,
-                                _INERT_POLICY_ATTRS, instance_overrides)
+from repro.sim.backend import (_COMPILED_BYPASSED_SM_ATTRS,
+                               _INERT_POLICY_ATTRS, instance_overrides)
 from repro.validate.findings import Finding, FindingReport, Severity
 
 __all__ = [
@@ -78,6 +80,7 @@ _REPRO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Module keys -> repo-relative source files the auditor parses.
 SIM_MODULE_FILES = {
+    "sim.backend": "sim/backend.py",
     "sim.sm": "sim/sm.py",
     "sim.scheduler": "sim/scheduler.py",
     "sim.gpu": "sim/gpu.py",
@@ -132,11 +135,18 @@ _FAST_FOLDED: Dict[Tuple[str, str], str] = {
     ("sched", "issue"): (
         "GTOScheduler.issue is inlined into _step_fast verbatim "
         "(greedy-then-oldest scan over the same _ready/_blocked state); "
-        "fast_step_eligible pins the scheduler type to GTOScheduler"),
+        "the fused gate pins the scheduler type to GTOScheduler"),
     ("sched", "_note_sleep"): (
         "the telemetry-free sleep computation is folded into the fused "
         "scan-failure path; sched.telemetry is gate-checked"),
 }
+
+#: The fused-tier checks on one SM: the only body the fused audit credits
+#: as gating ``_step_fast``.  Compiled-only checks (launches, the policy
+#: surface, the CTA tracer) live in ``_COMPILED_GATES`` and gate nothing
+#: here.
+_FUSED_GATE = "_sm_fused_refusal"
+_COMPILED_GATES = ("_compiled_refusal", "_policy_refusal")
 
 #: Base-policy attributes the engine reaches but the inertness gate may
 #: legitimately skip, with the reason.
@@ -162,7 +172,7 @@ class EffectsConfig:
     ``sources`` maps module keys (``sim.sm`` ...) to python source text;
     the self-test overrides individual entries to inject faults without
     touching the tree.  The gate tuples default to the live values
-    imported from :mod:`repro.sim.compiled`, so editing the real gate is
+    imported from :mod:`repro.sim.backend`, so editing the real gate is
     immediately visible to the audit.
     """
 
@@ -254,6 +264,11 @@ class _CodeIndex:
 
     def lookup(self, ns: str, name: str) -> List[ast.FunctionDef]:
         """Bodies a ``<ns receiver>.<name>`` reference can dispatch to."""
+        if ns == "gate":
+            # The engine decision: module functions of repro.sim.backend.
+            module = self.modules.get("sim.backend")
+            node = module.functions.get(name) if module else None
+            return [node] if node is not None else []
         if ns == "comp":
             # The compiled driver: module functions plus the _Run lowering
             # class, whose ``self.<method>`` calls stay in this namespace.
@@ -454,17 +469,25 @@ def _closure(index: _CodeIndex, seeds: Iterable[Tuple[str, str]],
     return result
 
 
-def _gate_mentions(index: _CodeIndex, ns: str, name: str) -> Set[str]:
-    """Attribute names and string literals a gate function checks."""
+def _gate_mentions(index: _CodeIndex, name: str) -> Set[str]:
+    """Attribute names and string literals a gate function checks.
+
+    ``return`` values are skipped: a gate returns its verdict (a reason
+    string such as ``"tracer"``), and a verdict is not a check -- counting
+    it would widen what the gate is credited with covering.
+    """
     mentions: Set[str] = set()
-    for node in index.lookup(ns, name):
-        for child in ast.walk(node):
-            if isinstance(child, ast.Attribute):
-                mentions.add(child.attr)
-            elif (isinstance(child, ast.Constant)
-                    and isinstance(child.value, str)
-                    and "\n" not in child.value):
-                mentions.add(child.value)
+    work: List[ast.AST] = list(index.lookup("gate", name))
+    while work:
+        node = work.pop()
+        if isinstance(node, ast.Return):
+            continue
+        if isinstance(node, ast.Attribute):
+            mentions.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "\n" not in node.value):
+            mentions.add(node.value)
+        work.extend(ast.iter_child_nodes(node))
     return mentions
 
 
@@ -479,7 +502,7 @@ def _finding(tag: str, severity: Severity, message: str, path: str,
 
 
 def _tuple_lineno(index: _CodeIndex, name: str) -> Optional[int]:
-    for node in index.modules["sim.compiled"].tree.body:
+    for node in index.modules["sim.backend"].tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == name:
@@ -497,9 +520,8 @@ def _audit_fused(index: _CodeIndex) -> List[Finding]:
     reference = _closure(index, [("sm", "step"), ("sm", "next_event")],
                          traversable)
     fused = _closure(index, [("sm", "_step_fast"), ("sm", "next_event_fast"),
-                             ("sm", "_bind_fast_path"),
-                             ("sm", "fast_step_eligible")], traversable)
-    gate = _gate_mentions(index, "sm", "fast_step_eligible")
+                             ("sm", "_bind_fast_path")], traversable)
+    gate = _gate_mentions(index, _FUSED_GATE)
     folded_used: Set[Tuple[str, str]] = set()
 
     for (ns, name), guardsets in sorted(reference.items()):
@@ -517,7 +539,7 @@ def _audit_fused(index: _CodeIndex) -> List[Finding]:
             "fast-gate-missing", HIGH,
             f"reference step path touches {ns}.{name} but the fused "
             f"_step_fast neither reproduces it nor gates on it: add it to "
-            f"fast_step_eligible's checks (or the audited fold table) "
+            f"{_FUSED_GATE}'s checks (or the audited fold table) "
             f"before trusting the fused backend", sm_path))
     for (ns, name), reason in _FAST_FOLDED.items():
         if (ns, name) not in folded_used:
@@ -537,12 +559,13 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
     the fused step, including hooks the fused step dispatches dynamically
     (``_on_long_block``, ``_wake_schedulers``).  Every SM method the fused
     event engine reaches that the compiled driver never calls must appear
-    in ``_COMPILED_BYPASSED_SM_ATTRS`` so ``run_eligible``'s instance-dict
+    in ``_COMPILED_BYPASSED_SM_ATTRS`` so the compiled gate's instance-dict
     scan routes instrumented SMs back to the event engine instead of
     letting the C core silently ignore the override."""
     findings: List[Finding] = []
     config = index.config
     comp = index.modules["sim.compiled"]
+    gate_path = index.modules["sim.backend"].path
     line = _tuple_lineno(index, "_COMPILED_BYPASSED_SM_ATTRS")
     sm_methods = set(index.cls("sm").methods) if index.cls("sm") else set()
 
@@ -561,7 +584,7 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
         skip=frozenset({("gpu", "_run_event"), ("gpu", "_run_dense")}))
     bypassed = sm_refs(engine) - sm_refs(compiled)
     covered = set(config.compiled_bypassed_sm_attrs) | _gate_mentions(
-        index, "sm", "fast_step_eligible")
+        index, _FUSED_GATE)
 
     for name in sorted(bypassed - covered):
         findings.append(_finding(
@@ -569,20 +592,20 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
             f"the fused engine dispatches SM.{name} dynamically but the "
             f"compiled driver never calls it (the C core would silently "
             f"ignore an instance-level wrapper) — add {name!r} to "
-            f"_COMPILED_BYPASSED_SM_ATTRS", comp.path, line))
+            f"_COMPILED_BYPASSED_SM_ATTRS", gate_path, line))
     for name in config.compiled_bypassed_sm_attrs:
         if name not in sm_methods:
             findings.append(_finding(
                 "compiled-gate-stale", MEDIUM,
                 f"_COMPILED_BYPASSED_SM_ATTRS entry {name!r} is not a "
                 f"StreamingMultiprocessor method; the instance-dict scan "
-                f"checks a name that cannot be shadowed", comp.path, line))
+                f"checks a name that cannot be shadowed", gate_path, line))
         elif name not in bypassed:
             findings.append(_finding(
                 "compiled-gate-candidate", LOW,
                 f"_COMPILED_BYPASSED_SM_ATTRS entry {name!r} is no longer "
                 f"derived as fused-engine-only; the gate is wider than "
-                f"the C core requires (narrowing candidate)", comp.path,
+                f"the C core requires (narrowing candidate)", gate_path,
                 line))
     return findings
 
@@ -613,20 +636,20 @@ def _engine_policy_refs(index: _CodeIndex) -> Set[str]:
 def _audit_inert(index: _CodeIndex) -> List[Finding]:
     findings: List[Finding] = []
     config = index.config
-    comp_path = index.modules["sim.compiled"].path
+    gate_path = index.modules["sim.backend"].path
     line = _tuple_lineno(index, "_INERT_POLICY_ATTRS")
     family = index.policy_classes()
     base = family.get("RegisterFilePolicy")
     if base is None:
         return [_finding("inert-audit-error", HIGH,
                          "RegisterFilePolicy not found in audited sources",
-                         comp_path, line)]
+                         gate_path, line)]
     base_names = base[1].body_names
 
-    # Names policy_inert / run_eligible inspect directly on the instance.
+    # Names the compiled gate inspects directly on the policy instance.
     direct: Set[str] = set()
-    for fn in ("policy_inert", "run_eligible"):
-        for node in index.lookup("comp", fn):
+    for fn in _COMPILED_GATES:
+        for node in index.lookup("gate", fn):
             direct |= _policy_ns_names(index.summarize(node, None))
     covered = set(config.inert_policy_attrs) | direct | set(_INERT_EXEMPT)
 
@@ -655,19 +678,19 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
         findings.append(_finding(
             "inert-gate-missing", HIGH,
             f"base-policy attribute {name!r} is engine-reachable but "
-            f"policy_inert does not check it; a subclass overriding only "
+            f"_policy_refusal does not check it; a subclass overriding only "
             f"{name!r} would wrongly pass the inertness gate — add it to "
-            f"_INERT_POLICY_ATTRS", comp_path, line))
+            f"_INERT_POLICY_ATTRS", gate_path, line))
     for name in config.inert_policy_attrs:
         if name not in base_names:
             findings.append(_finding(
                 "inert-gate-stale", MEDIUM,
                 f"_INERT_POLICY_ATTRS entry {name!r} is not defined on "
                 f"RegisterFilePolicy; the identity check compares a name "
-                f"that cannot be overridden", comp_path, line))
+                f"that cannot be overridden", gate_path, line))
 
     # Per-subclass: overriding any base hook without touching a checked
-    # one means policy_inert cannot tell the subclass from the base.
+    # one means _policy_refusal cannot tell the subclass from the base.
     overridden_entries: Set[str] = set()
     for cname, (mkey, info) in sorted(family.items()):
         if cname == "RegisterFilePolicy":
@@ -690,21 +713,21 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 "inert-unguarded-policy", HIGH,
                 f"{cname} overrides base-policy surface "
                 f"({', '.join(sorted(base_overrides))}) but none of it is "
-                f"checked by policy_inert; the compiled backend would "
+                f"checked by _policy_refusal; the compiled backend would "
                 f"treat it as the base no-op policy", path,
                 info.lineno))
         elif not base_overrides:
             findings.append(_finding(
                 "inert-policy-passthrough", LOW,
                 f"{cname} overrides no base-policy behaviour and passes "
-                f"policy_inert by design", path, info.lineno))
+                f"_policy_refusal by design", path, info.lineno))
     for name in config.inert_policy_attrs:
         if name in base_names and name not in overridden_entries:
             findings.append(_finding(
                 "inert-gate-candidate", LOW,
                 f"_INERT_POLICY_ATTRS entry {name!r} is overridden by no "
                 f"current subclass; still engine-reachable, but a "
-                f"narrowing candidate if the surface shrinks", comp_path,
+                f"narrowing candidate if the surface shrinks", gate_path,
                 line))
     return findings
 

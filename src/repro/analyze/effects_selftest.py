@@ -55,7 +55,7 @@ def _inject(config: EffectsConfig, key: str, anchor: str,
 # The seven injections
 # ----------------------------------------------------------------------
 def _phantom_issue_hook() -> EffectsConfig:
-    """A new hook read in ``_try_issue`` that ``fast_step_eligible``
+    """A new hook read in ``_try_issue`` that ``_sm_fused_refusal``
     never learned about — the exact shape of a silent fused-path
     divergence (the fused loop would never call the hook)."""
     anchor = "        wt = self._wt\n"
@@ -79,7 +79,7 @@ def _dropped_bypass_entry(name: str) -> Callable[[], EffectsConfig]:
 
 def _dropped_inert_entry() -> EffectsConfig:
     """``on_tick`` removed from ``_INERT_POLICY_ATTRS``: a policy
-    overriding only ``on_tick`` would wrongly pass ``policy_inert``."""
+    overriding only ``on_tick`` would wrongly pass ``_policy_refusal``."""
     config = default_effects_config()
     return replace(config, inert_policy_attrs=tuple(
         name for name in config.inert_policy_attrs if name != "on_tick"))
@@ -94,7 +94,7 @@ def _unordered_dispatch_iteration() -> EffectsConfig:
 
 
 def _phantom_policy_override() -> EffectsConfig:
-    """A policy subclass overriding only surface ``policy_inert`` never
+    """A policy subclass overriding only surface ``_policy_refusal`` never
     checks — it would be treated as the base no-op policy."""
     extra = (
         "\n\n"
@@ -122,7 +122,7 @@ def _degenerate_tiebreak() -> EffectsConfig:
 SEEDED_FAULTS: Tuple[SeededFault, ...] = (
     SeededFault("phantom_issue_hook", "fast-gate-missing", Severity.ERROR,
                 "hook read added to _try_issue without widening "
-                "fast_step_eligible", _phantom_issue_hook),
+                "_sm_fused_refusal", _phantom_issue_hook),
     SeededFault("dropped_bypass_entry", "compiled-gate-missing",
                 Severity.ERROR,
                 "accumulate (event-loop surface) removed from "

@@ -46,11 +46,6 @@ class RunRequest:
     #: the artifact next to the run's cached result.  Observation-only: the
     #: SimResult is identical with the flag on or off.
     telemetry: bool = False
-    #: Engine backend for the run (see ``repro.sim.backend``); ``None``
-    #: defers to ``REPRO_ENGINE`` / auto resolution.  Backends are
-    #: bit-identical, so this is deliberately *not* part of the result cache
-    #: key — it only selects which driver executes the simulation.
-    engine: Optional[str] = None
 
     @classmethod
     def make(cls, abbrev: str, policy: str,
@@ -58,12 +53,11 @@ class RunRequest:
              sample_usage: bool = False,
              unified_memory: bool = False,
              telemetry: bool = False,
-             engine: Optional[str] = None,
              **policy_kwargs) -> "RunRequest":
         return cls(abbrev=abbrev, policy=policy, config=config,
                    sample_usage=sample_usage, unified_memory=unified_memory,
                    policy_kwargs=tuple(sorted(policy_kwargs.items())),
-                   telemetry=telemetry, engine=engine)
+                   telemetry=telemetry)
 
     def with_config(self, config: GPUConfig) -> "RunRequest":
         return replace(self, config=config)
@@ -136,14 +130,13 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
         tracer = attach_tracer(gpu, level="warp")
         session = attach_telemetry(gpu)
         with phase("engine-run"):
-            result = gpu.run(max_cycles=scale.max_cycles,
-                             engine=request.engine)
+            result = gpu.run(max_cycles=scale.max_cycles)
         with phase("serialize"):
             write_run_telemetry(scale, base_config, request, session,
                                 result, tracer=tracer)
         return result
     with phase("engine-run"):
-        return gpu.run(max_cycles=scale.max_cycles, engine=request.engine)
+        return gpu.run(max_cycles=scale.max_cycles)
 
 
 #: Directory for per-run telemetry artifacts (override via env).

@@ -30,126 +30,29 @@ simulation is genuinely coupled:
   reductions over the per-SM summaries; idle cycles are busy spans minus
   issue cycles, and the level integrals are exact int64 sums merged once.
 
-Eligibility (``run_eligible``) is conservative and run-level: no
-tracer/sanitizer/telemetry surface, a single launch, every SM passes
-``fast_step_eligible``, no instance-level override on the surface the C
-core inlines, and every policy *inert* -- byte-for-byte the base
+Only runs :func:`repro.sim.backend.choose_engine` admits get here: no
+tracer/sanitizer/telemetry surface, a single launch, the fused step
+valid on every SM, no instance-level override on the surface the C core
+inlines, and every policy *inert* -- byte-for-byte the base
 :class:`RegisterFilePolicy` behaviour.  Inert policies never create
 pending/transit CTAs, never act on idle/tick, and classify every idle span
 as "other", which is what makes the closed-form reconciliation exact.
-Ineligible runs take the event engine instead -- never an error.  The
-gate tuples below are machine-checked by the effects auditor
-(``repro.analyze.effects``).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from repro.policies.base import RegisterFilePolicy
 from repro.sim.warp import FOREVER, WarpState
-
-#: Policy surface that must be byte-for-byte the base implementation for a
-#: run to decouple.  State-changing hooks (fill / on_cta_*) because a real
-#: implementation could park or activate CTAs (transit machinery the C
-#: core does not model); bookkeeping hooks (classify_idle / next_event /
-#: wake_time / on_tick / on_idle) because the closed-form accounting
-#: replaces their call sites outright.  The effects auditor derives the
-#: engine-reachable base-policy surface from the source and fails CI if a
-#: reachable hook is missing here or an entry goes stale.
-_INERT_POLICY_ATTRS = (
-    "fill", "can_launch", "register_space_for_launch", "note_launched",
-    "on_cta_stalled", "on_cta_finished", "on_tick", "on_idle",
-    "_act_on_idle", "classify_idle", "next_event", "wake_time",
-    "on_issue", "extras",
-    "can_launch_for", "_launch_regs", "register_space_for",
-    "_pop_ready_swap", "_pop_ready_fitting", "_new_cta_feasible",
-    "stalled_active_ctas",
-)
-
-#: SM methods the fused event engine dispatches dynamically but the
-#: compiled driver never calls: the event loop's per-cycle step/next-event/
-#: level flush, the long-block check and barrier wake that run inside C
-#: between merge points, and the transit settle (dead under an inert
-#: policy, which never parks a CTA).  An instance-level wrapper on any of
-#: these would be silently skipped, so its presence routes the run to the
-#: event engine.
-_COMPILED_BYPASSED_SM_ATTRS = ("accumulate", "next_event", "next_event_fast",
-                               "_step_fast", "_on_long_block",
-                               "_wake_schedulers", "_settle_transits")
-
-#: Stats surface inlined: the per-segment level flush runs in C as int64
-#: sums (merged once at reconciliation).
-_COMPILED_BYPASSED_STATS_ATTRS = ("accumulate",)
 
 #: C warp-state ids <-> the Python enum (order is part of the C ABI).
 _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
 _STATE_IDS = {state: index for index, state in enumerate(_STATES)}
 
 
-def instance_overrides(obj, names):
-    """Names from ``names`` shadowed in ``obj``'s instance dict.
-
-    An instance-level attribute shadows the class-level method the engine
-    would otherwise resolve, so any hit disqualifies the fast path.  Shared
-    by ``policy_inert`` / ``run_eligible`` and imported by the effect
-    auditor (``repro.analyze.effects``) so the bypass scan has one
-    implementation.
-    """
-    instance_dict = getattr(obj, "__dict__", None)
-    if not instance_dict:
-        return ()
-    return tuple(name for name in names if name in instance_dict)
-
-
-def policy_inert(policy) -> bool:
-    """True when ``policy`` is observably the base no-op policy."""
-    cls = type(policy)
-    for name in _INERT_POLICY_ATTRS:
-        if getattr(cls, name) is not getattr(RegisterFilePolicy, name):
-            return False
-    if instance_overrides(policy, _INERT_POLICY_ATTRS):
-        return False
-    return not policy.needs_issue_hook and not policy._blocked_on_rf
-
-
-def run_eligible(gpu) -> bool:
-    """True when the whole run can execute on the C core.
-
-    Stricter than per-SM ``fast_step_eligible``: the CTA-level tracer
-    records launch/retire events in global order (which the decoupled
-    issue loops would scramble), concurrent kernels need the arbiter-aware
-    event engine, and any non-inert policy could create pending/transit
-    CTAs or observable idle/tick behaviour the closed-form accounting
-    omits.
-    """
-    if (gpu.sanitizer is not None or gpu.telemetry is not None
-            or gpu.tracer is not None or gpu.warp_tracer is not None):
-        return False
-    if len(gpu.launches) > 1:
-        return False
-    for sm in gpu.sms:
-        if not sm.fast_step_eligible():
-            return False
-        if instance_overrides(sm, _COMPILED_BYPASSED_SM_ATTRS):
-            return False
-        if instance_overrides(sm.stats, _COMPILED_BYPASSED_STATS_ATTRS):
-            return False
-        if not policy_inert(sm._policy):
-            return False
-        # The scheduler surface the C core inlines (the bucket scan, the
-        # barrier wake, the sleep fold) needs no instance gate:
-        # GTOScheduler declares __slots__, so instance-level overrides are
-        # impossible, and fast_step_eligible pins the exact type.
-    return True
-
-
 def run_compiled(gpu, max_cycles):
-    """Drive one run on the C core (event-engine fallback if not
-    eligible); bit-identical to the dense oracle by construction."""
-    if not run_eligible(gpu):
-        return gpu._run_event(max_cycles)
-    gpu.engine_used = "compiled"
+    """Drive one run on the C core; bit-identical to the dense oracle by
+    construction."""
     sms = gpu.sms
     for sm in sms:
         sm._bind_fast_path()

@@ -17,12 +17,18 @@ Two observably identical engines drive the simulation:
 Both jump over globally dead time: when no SM issues anything, the clock
 advances to the earliest future event (warp wake-up, switch completion,
 pending-CTA readiness) in one step.
+
+:meth:`GPU.run` takes the run's one engine decision through
+:func:`repro.sim.backend.choose_engine` and records it as
+``engine_used`` plus ``fallback_reason`` (``sanitizer``, ``concurrent``,
+``policy:<Class>.<attr>`` ...; the vocabulary is in that module).  The
+event engine then steps every SM the same way: all fused or all
+reference.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -30,7 +36,7 @@ from repro.config import GPUConfig
 from repro.core.liveness import LivenessAnalysis, LivenessTable
 from repro.isa.kernel import Kernel
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.backend import select_backend
+from repro.sim.backend import choose_engine
 from repro.sim.launch import (DispatchArbiter, GridView, KernelLaunch,
                               LaunchSpec, build_launches, combined_liveness,
                               shared_address_model)
@@ -98,8 +104,10 @@ class GPU:
         self.sanitizer = None  # set by validate.sanitizer.attach_sanitizer
         self.telemetry = None  # set by telemetry.session.attach_telemetry
         # Backend that actually drove the last run() ("dense", "reference",
-        # "fused" or "compiled"); None before the first run.
+        # "fused" or "compiled") and why it is slower than the request
+        # (see repro.sim.backend.choose_engine); None before the first run.
         self.engine_used = None
+        self.fallback_reason = None
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
         self.completed_ctas = 0
@@ -143,14 +151,15 @@ class GPU:
             engine: Optional[str] = None) -> SimResult:
         """Simulate until the grid drains; returns the aggregate result.
 
-        ``engine`` picks the backend explicitly (``auto`` / ``reference``
+        ``engine`` requests a backend explicitly (``auto`` / ``reference``
         / ``fused`` / ``compiled``); ``None`` defers to ``REPRO_ENGINE``
-        and then ``auto`` resolution (see :mod:`repro.sim.backend`).  The
-        dense oracle override ``REPRO_DENSE_STEP=1`` beats everything.
-        Every backend is observably identical; ``engine_used`` records
-        which driver actually ran (``compiled`` falls back to the event
-        engine when the run is not decoupling-eligible).
+        and then ``auto``.  The dense oracle override ``REPRO_DENSE_STEP=1``
+        beats everything.  :func:`~repro.sim.backend.choose_engine` decides
+        once, here: ``engine_used`` records the driver that ran and
+        ``fallback_reason`` why it is slower than the request (``None``
+        when it is not).  Every backend is observably identical.
         """
+        self.engine_used, self.fallback_reason = choose_engine(self, engine)
         # The hot loop allocates heavily (heap entries, scoreboard cycle
         # ints) but retains almost none of it, so generational GC passes
         # during the run are pure overhead; pause collection for the span.
@@ -158,15 +167,11 @@ class GPU:
         if was_enabled:
             gc.disable()
         try:
-            if os.environ.get("REPRO_DENSE_STEP") == "1":
-                self.engine_used = "dense"
+            if self.engine_used == "dense":
                 return self._run_dense(max_cycles)
-            backend = select_backend(engine)
-            if backend == "compiled":
+            if self.engine_used == "compiled":
                 from repro.sim.compiled import run_compiled
                 return run_compiled(self, max_cycles)
-            if backend == "reference":
-                return self._run_event(max_cycles, force_reference=True)
             return self._run_event(max_cycles)
         finally:
             if was_enabled:
@@ -215,8 +220,7 @@ class GPU:
             now += dt
         return self._finish_run(now, timed_out)
 
-    def _run_event(self, max_cycles: int,
-                   force_reference: bool = False) -> SimResult:
+    def _run_event(self, max_cycles: int) -> SimResult:
         """Event-driven engine: skip SMs until their wake-up cycle.
 
         An SM is skipped at an executed cycle only while stepping it would
@@ -227,6 +231,10 @@ class GPU:
         SM's state is frozen (nothing cross-SM mutates it), so its
         ``next_event``/``accumulate``/telemetry observables are exactly the
         dense engine's.
+
+        ``engine_used`` (set by :meth:`run`) picks the step for every SM:
+        the fused ``_step_fast`` with its ``next_event_fast``, or the
+        reference ``step``/``next_event``.
         """
         now = 0
         for sm in self.sms:
@@ -237,103 +245,15 @@ class GPU:
         telemetry = self.telemetry
         grid = self._grid
         wake = [0] * len(sms)
-        # (sm, step-callable) pairs: hook-free SMs run the fused fast step;
-        # anything wrapped or instrumented runs the reference sm.step.  The
-        # same split picks the next-event flavour (the fused step maintains
-        # the _sched_sleep cache next_event_fast reads).
-        steppers = []
-        nextevs = []
-        all_fast = True
-        for sm in sms:
-            if not force_reference and sm.fast_step_eligible():
+        fused = self.engine_used == "fused"
+        if fused:
+            for sm in sms:
                 sm._bind_fast_path()
-                steppers.append((sm, sm._step_fast))
-                nextevs.append(sm.next_event_fast)
-            else:
-                all_fast = False
-                steppers.append((sm, sm.step))
-                nextevs.append(sm.next_event)
-        self.engine_used = "fused" if all_fast else "reference"
-        if sanitizer is None and telemetry is None and all_fast:
-            # Dedicated copy of the cycle loop for the uninstrumented
-            # common case: the per-cycle sanitizer/telemetry None checks
-            # disappear and the skipped-SM accumulate fold is inlined.
-            # Logic is otherwise identical to the general loop below.
-            while True:
-                if not grid:
-                    for sm in sms:
-                        if (sm.active_ctas or sm.pending_ctas
-                                or sm.transit_ctas):
-                            break
-                    else:
-                        break
-                if now >= max_cycles:
-                    timed_out = True
-                    break
-                issued = 0
-                index = -1
-                for sm, step in steppers:
-                    index += 1
-                    if now < wake[index]:
-                        continue
-                    if step(now):
-                        issued = 1
-                        wake[index] = 0
-                        continue
-                    # bool(), not the first truthy list: on_idle below may
-                    # swap the last active CTA out, emptying the very list
-                    # a bare `or` chain would have bound -- which silently
-                    # falsified the idle-cooldown wake reduction.
-                    busy = bool(sm.active_ctas or sm.pending_ctas
-                                or sm.transit_ctas)
-                    if busy and sm._needs_idle:
-                        sm._policy.on_idle(now)
-                    w = sm._sched_sleep
-                    if w > now + 1:
-                        for cta in sm.transit_ctas:
-                            if cta.transit_until < w:
-                                w = cta.transit_until
-                        if sm._needs_tick:
-                            t = sm._policy.wake_time(now)
-                            if t < w:
-                                w = t
-                        if busy and sm._needs_idle:
-                            t = sm._policy._next_idle_check
-                            if t < w:
-                                w = t
-                    wake[index] = w
-                if issued:
-                    for sm in sms:
-                        if not sm._last_step_issued:
-                            if sm._lvl_dirty:
-                                sm.accumulate(1, False)
-                                continue
-                            sm._lvl_dt += 1
-                            if (sm.active_ctas or sm.pending_ctas
-                                    or sm.transit_ctas):
-                                st = sm.stats
-                                st.idle_cycles += 1
-                                policy = sm._policy
-                                if policy is not None:
-                                    reason = policy.classify_idle(1)
-                                    if reason == "rf":
-                                        st.rf_depletion_cycles += 1
-                                    elif reason == "srp":
-                                        st.srp_stall_cycles += 1
-                    now += 1
-                    continue
-                nxt = FOREVER
-                for ne in nextevs:
-                    t = ne(now)
-                    if t < nxt:
-                        nxt = t
-                if nxt >= FOREVER:
-                    self._raise_deadlock(now)
-                dt = max(1, nxt - now)
-                for sm in sms:
-                    sm.accumulate(dt, True)
-                now += dt
-            return self._finish_run(now, timed_out)
+            steppers = [(sm, sm._step_fast) for sm in sms]
+            nextevs = [sm.next_event_fast for sm in sms]
+        else:
+            steppers = [(sm, sm.step) for sm in sms]
+            nextevs = [sm.next_event for sm in sms]
         while True:
             if not grid:
                 for sm in sms:
@@ -350,13 +270,14 @@ class GPU:
                 index += 1
                 if now < wake[index]:
                     continue
-                sm_issued = step(now)
-                if sm_issued:
-                    issued += sm_issued
+                if step(now):
+                    issued = 1
                     wake[index] = 0
                     continue
-                # bool() snapshot: on_idle may empty the bound list (see
-                # the fast loop above).
+                # bool(), not the first truthy list: on_idle below may
+                # swap the last active CTA out, emptying the very list
+                # a bare `or` chain would have bound -- which silently
+                # falsified the idle-cooldown wake reduction.
                 busy = bool(sm.active_ctas or sm.pending_ctas
                             or sm.transit_ctas)
                 if busy and sm._needs_idle:
@@ -383,39 +304,33 @@ class GPU:
             if sanitizer is not None:
                 sanitizer.on_cycle(now)
             if issued:
-                # Busy span, levels clean: accumulate() would only buffer
-                # the cycle; do it inline.  Fast-path SMs that issued have
-                # already folded their cycle in at the end of _step_fast.
-                if all_fast:
-                    for sm in sms:
-                        if not sm._last_step_issued:
-                            if sm._lvl_dirty:
-                                sm.accumulate(1, False)
-                                continue
-                            # accumulate(1, False) with clean levels, open
-                            # coded: buffer the span cycle, then the exact
-                            # per-cycle idle taxonomy (classify_idle may be
-                            # stateful, so the call cadence must not change).
-                            sm._lvl_dt += 1
-                            if (sm.active_ctas or sm.pending_ctas
-                                    or sm.transit_ctas):
-                                st = sm.stats
-                                st.idle_cycles += 1
-                                policy = sm._policy
-                                if policy is not None:
-                                    reason = policy.classify_idle(1)
-                                    if reason == "rf":
-                                        st.rf_depletion_cycles += 1
-                                    elif reason == "srp":
-                                        st.srp_stall_cycles += 1
-                else:
-                    for sm in sms:
-                        if sm._last_step_issued and sm._defer_stats:
+                # Busy span: accumulate(1, False) per SM, open coded.
+                for sm in sms:
+                    if sm._last_step_issued:
+                        # The fused step folded its own cycle in already.
+                        if fused:
                             continue
-                        if sm._lvl_dirty or not sm._last_step_issued:
-                            sm.accumulate(1, False)
-                        else:
+                        if not sm._lvl_dirty:
                             sm._lvl_dt += 1
+                            continue
+                    if sm._lvl_dirty:
+                        sm.accumulate(1, False)
+                        continue
+                    # Clean levels: buffer the span cycle, then the exact
+                    # per-cycle idle taxonomy (classify_idle may be
+                    # stateful, so the call cadence must not change).
+                    sm._lvl_dt += 1
+                    if (sm.active_ctas or sm.pending_ctas
+                            or sm.transit_ctas):
+                        st = sm.stats
+                        st.idle_cycles += 1
+                        policy = sm._policy
+                        if policy is not None:
+                            reason = policy.classify_idle(1)
+                            if reason == "rf":
+                                st.rf_depletion_cycles += 1
+                            elif reason == "srp":
+                                st.srp_stall_cycles += 1
                 if telemetry is not None:
                     telemetry.on_advance(now, 1)
                 now += 1
@@ -563,19 +478,4 @@ class GPU:
                 sm.stats.switch_in_overhead_cycles for sm in self.sms),
             per_kernel=per_kernel,
         )
-
-
-def run_kernel(config: GPUConfig, kernel: Kernel,
-               policy_factory: PolicyFactory, trace_provider, address_model,
-               liveness: Optional[LivenessTable] = None,
-               sample_usage: bool = False,
-               max_cycles: int = 10_000_000,
-               post_setup: Optional[Callable[[GPU], None]] = None,
-               engine: Optional[str] = None) -> SimResult:
-    """Convenience wrapper: build a GPU, optionally tweak it, and run."""
-    gpu = GPU(config, kernel, policy_factory, trace_provider, address_model,
-              liveness=liveness, sample_usage=sample_usage)
-    if post_setup is not None:
-        post_setup(gpu)
-    return gpu.run(max_cycles=max_cycles, engine=engine)
 

@@ -209,9 +209,6 @@ class GTOScheduler:
                 self.telemetry.observe("scheduler.sleep_cycles",
                                        earliest - now)
 
-    def has_runnable(self, now: int) -> bool:
-        return any(warp.is_runnable(now) for warp in self.warps)
-
 
 class LRRScheduler(GTOScheduler):
     """Loose round-robin: rotate through warps instead of running one

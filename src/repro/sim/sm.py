@@ -191,11 +191,7 @@ class StreamingMultiprocessor:
         self._lvl_active = 0
         self._lvl_pending = 0
         self._lvl_warps = 0
-        # Fast-path caches bound by _bind_fast_path (event engine only).
-        self._hier = None
-        self._reuse_spatial = 1
-        self._reuse_lines = 1
-        self._shared_lines = 1
+        # Fast-path constants bound by _bind_fast_path (fused/compiled).
         self._fast_consts = None
 
     # ------------------------------------------------------------------
@@ -455,7 +451,8 @@ class StreamingMultiprocessor:
         """Hook-free fused issue step (event engine only).
 
         Observably identical to :meth:`step` + ``GTOScheduler.issue`` +
-        :meth:`_try_issue` for SMs that pass ``fast_step_eligible``: no
+        :meth:`_try_issue` on runs the fused gate admits
+        (``repro.sim.backend._sm_fused_refusal``): no
         sanitizer/mutation wrappers on ``step``/``_try_issue``, no
         telemetry, no warp tracer, no Fig-5 sampling, no policy issue hook,
         and plain :class:`GTOScheduler` schedulers.  Inlining the three
@@ -741,29 +738,6 @@ class StreamingMultiprocessor:
             self._sched_sleep = sleep
         return issued
 
-    def fast_step_eligible(self) -> bool:
-        """True when :meth:`_step_fast` is observably equal to :meth:`step`.
-
-        Any instance-level wrapper on ``step``/``_try_issue`` (sanitizer,
-        mutation self-test), any telemetry/tracing surface, Fig-5 usage
-        sampling, a policy issue hook, or a non-GTO scheduler routes the SM
-        to the unfused reference path.
-        """
-        from repro.sim.scheduler import GTOScheduler
-        d = self.__dict__
-        if ("step" in d or "_try_issue" in d
-                or self.telemetry is not None or self._wt is not None
-                or self._sample_usage or self._issue_hook is not None):
-            return False
-        gpu = self.gpu
-        if (type(gpu.address_model) is not AddressModel
-                or gpu.hierarchy.telemetry is not None):
-            return False
-        for sched in self.schedulers:
-            if type(sched) is not GTOScheduler or sched.telemetry is not None:
-                return False
-        return True
-
     def _bind_fast_path(self) -> None:
         """Cache cross-object hot-path state for :meth:`_step_fast` and
         switch the issue counters to deferred (per-warp-finish) mode.
@@ -772,15 +746,11 @@ class StreamingMultiprocessor:
         single attribute load + C-level unpack per call instead of a dozen
         attribute loads."""
         model = self.gpu.address_model
-        self._hier = self.gpu.hierarchy
-        self._reuse_spatial = model.reuse_spatial
-        self._reuse_lines = model.reuse_lines
-        self._shared_lines = model.shared_lines
         self._defer_stats = True
         self._fast_consts = (
-            self._meta, self._stall_threshold, self._hier, self.sm_id,
-            self._reuse_spatial, self._reuse_lines, self._shared_lines,
-            tuple(self.schedulers),
+            self._meta, self._stall_threshold, self.gpu.hierarchy,
+            self.sm_id, model.reuse_spatial, model.reuse_lines,
+            model.shared_lines, tuple(self.schedulers),
         )
 
     def _flush_deferred_stats(self) -> None:

@@ -10,7 +10,9 @@ The acceptance contract of the auditor (docs/ANALYZE.md):
   gates cannot silently rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
 * every shipped policy subclass overrides at least one checked attr, so
-  ``policy_inert`` can never misclassify it as the base no-op policy.
+  ``_policy_refusal`` can never misclassify it as the base no-op policy;
+* the fused gate is credited with exactly the names it checks, never the
+  reason strings it returns.
 """
 
 from dataclasses import replace
@@ -18,6 +20,9 @@ from dataclasses import replace
 import pytest
 
 from repro.analyze.effects import (
+    _FUSED_GATE,
+    _CodeIndex,
+    _gate_mentions,
     audit_effects,
     default_effects_config,
 )
@@ -30,7 +35,7 @@ from repro.analyze.effects_selftest import (
 from repro.analyze.lint import default_lint_paths, default_lint_root
 from repro.policies.base import RegisterFilePolicy
 from repro.policies.baseline import BaselinePolicy
-from repro.sim.compiled import (
+from repro.sim.backend import (
     _COMPILED_BYPASSED_SM_ATTRS,
     _INERT_POLICY_ATTRS,
     instance_overrides,
@@ -148,6 +153,32 @@ class TestStaleEntries:
         assert hits, report.format("stale inert entry not reported")
 
 
+class TestFusedGateMentions:
+    """What the fused audit credits ``_sm_fused_refusal`` with checking."""
+
+    #: Pinned: widening this set relaxes the fused audit, so it must be a
+    #: deliberate, reviewed edit here.
+    COVERED = {"_issue_hook", "_sample_usage", "_try_issue", "_wt",
+               "address_model", "gpu", "hierarchy", "schedulers", "step",
+               "telemetry"}
+
+    def test_covered_set_is_pinned(self):
+        index = _CodeIndex(default_effects_config())
+        assert _gate_mentions(index, _FUSED_GATE) == self.COVERED
+
+    def test_returned_reasons_are_not_checks(self):
+        """A reason string that happens to name an attribute (``tracer``)
+        must not count as gating it: only reads outside ``return`` do."""
+        config = default_effects_config()
+        anchor = '        return "usage-sampling"\n'
+        assert anchor in config.sources["sim.backend"]
+        sources = dict(config.sources)
+        sources["sim.backend"] = sources["sim.backend"].replace(
+            anchor, '        return "_div_forks"\n')
+        index = _CodeIndex(replace(config, sources=sources))
+        assert "_div_forks" not in _gate_mentions(index, _FUSED_GATE)
+
+
 class TestSeededFaults:
     @pytest.mark.parametrize(
         "case", SEEDED_FAULTS, ids=[c.name for c in SEEDED_FAULTS])
@@ -179,7 +210,7 @@ class TestPolicyFamily:
             checked = surface & set(_INERT_POLICY_ATTRS)
             assert checked, (
                 f"{cls.__name__} overrides only unchecked base surface "
-                f"{sorted(surface)}; policy_inert would misclassify it")
+                f"{sorted(surface)}; _policy_refusal would misclassify it")
 
     def test_family_matches_audit_expectations(self):
         names = {cls.__name__ for cls in _all_policy_subclasses()}

@@ -9,12 +9,13 @@ contract itself:
 * ``auto`` resolution and graceful degradation (compiled -> fused) when
   the C extension is missing; an *explicit* request for an unavailable
   backend raises ``EngineUnavailableError``,
-* run-level compiled eligibility: instrumented runs (sanitizer,
-  telemetry, tracers), non-GTO scheduling and non-inert policies must all
-  degrade to the event engine rather than take the C core —
-  ``gpu.engine_used`` records what actually executed.  The gate itself is
-  asserted without the extension, so the extension-absent CI job pins it
-  too.
+* the run-level decision (``choose_engine``, called once by
+  ``GPU.run``): every refusal -- instrumentation, non-GTO scheduling,
+  instance wrappers, non-inert policies, concurrent launches, a missing
+  extension -- degrades to a slower engine rather than erroring, and
+  ``(gpu.engine_used, gpu.fallback_reason)`` records what executed and
+  why.  The reason table fakes the extension's presence, so the
+  extension-absent CI job pins it too.
 
 Bit-identity of the backends themselves is pinned separately by
 tests/test_engine_differential.py.
@@ -31,10 +32,11 @@ from repro.experiments.runner import POLICIES
 from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
-from repro.sim.compiled import policy_inert, run_eligible
 from repro.sim.gpu import GPU
+from repro.workloads.apps import APP_POOLS, build_app
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
+from repro.workloads.traces import AddressModel
 
 TINY = SCALES["tiny"]
 MICRO_CONFIG = GPUConfig(num_sms=2)
@@ -134,81 +136,184 @@ def test_run_consults_engine_env(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Run-level compiled eligibility / fallback routing
+# The run-level decision: (engine_used, fallback_reason)
 # ----------------------------------------------------------------------
 needs_extension = pytest.mark.skipif(
     not backend.compiled_available(),
     reason="repro.sim._ckernel extension not built")
 
 
+def _wrap(owner, name, calls):
+    """Instance-level counting wrapper around ``owner.<name>``."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
+
+
+class _SubclassedAddressModel(AddressModel):
+    """Behaves exactly like its base; only its type differs."""
+
+
+def _instrument(case, calls):
+    """A GPU set up so that ``case`` is the gate's first refusal."""
+    if case == "lrr":
+        return build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
+    if case == "issue_hook":
+        return build_gpu("vt_regmutex")
+    if case == "policy":
+        return build_gpu("finereg")
+    if case == "usage_sampling":
+        instance = build_workload(get_spec("KM"), MICRO_CONFIG, TINY)
+        return GPU(MICRO_CONFIG, instance.kernel, POLICIES["baseline"](),
+                   instance.trace_provider, instance.address_model,
+                   liveness=instance.liveness, sample_usage=True)
+    if case == "concurrent":
+        specs = build_app(APP_POOLS["st+km"], MICRO_CONFIG, TINY)
+        return GPU.concurrent(MICRO_CONFIG, specs, POLICIES["baseline"]())
+    gpu = build_gpu()
+    sm = gpu.sms[0]
+    if case == "sanitizer":
+        from repro.validate.sanitizer import attach_sanitizer
+        attach_sanitizer(gpu)
+    elif case in ("telemetry", "telemetry_session"):
+        from repro.telemetry.session import TelemetryConfig, attach_telemetry
+        attach_telemetry(gpu, TelemetryConfig(metrics=case == "telemetry"))
+    elif case in ("cta_tracer", "warp_tracer"):
+        from repro.sim.tracing import attach_tracer
+        attach_tracer(gpu, level=case.split("_")[0])
+    elif case == "step_wrapper":
+        _wrap(sm, "step", calls)
+    elif case == "address_model":
+        gpu.address_model.__class__ = _SubclassedAddressModel
+    elif case == "sm_override":
+        _wrap(sm, "_on_long_block", calls)
+    elif case == "stats_override":
+        _wrap(sm.stats, "accumulate", calls)
+    elif case == "policy_override":
+        _wrap(sm._policy, "on_tick", calls)
+    return gpu
+
+
+#: case -> (engine_used, fallback_reason) under ``auto``, in the gate's
+#: check order.  Fused-tier refusals land on the reference step, the rest
+#: on fused.
+REASONS = {
+    "sanitizer": ("reference", "sanitizer"),
+    "telemetry": ("reference", "telemetry"),
+    "warp_tracer": ("reference", "tracer"),
+    "step_wrapper": ("reference", "override:step"),
+    "usage_sampling": ("reference", "usage-sampling"),
+    "issue_hook": ("reference", "issue-hook"),
+    "address_model": ("reference", "address-model"),
+    "lrr": ("reference", "scheduler:lrr"),
+    "no_extension": ("fused", "no-extension"),
+    "telemetry_session": ("fused", "telemetry"),  # timeline only
+    "cta_tracer": ("fused", "tracer"),
+    "concurrent": ("fused", "concurrent"),
+    "sm_override": ("fused", "override:_on_long_block"),
+    "stats_override": ("fused", "override:accumulate"),
+    "policy_override": ("fused", "override:on_tick"),
+    "policy": ("fused", "policy:FineRegPolicy.can_launch"),
+}
+
+
+@pytest.mark.parametrize("case", list(REASONS), ids=[
+    f"{case}-{used}" for case, (used, _) in REASONS.items()])
+def test_compiled_falls_back_per_run_eligibility_reason(monkeypatch, case):
+    """Every refusal routes ``auto`` to a slower engine -- never an
+    error -- and names itself.  The extension is faked present (absent
+    for ``no_extension``) so the table holds with or without a C
+    toolchain: no case reaches the C core.  SM and stats wrappers must
+    also actually run on the engine the run fell back to."""
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE",
+                        case != "no_extension")
+    monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
+    calls = []
+    gpu = _instrument(case, calls)
+    gpu.run(max_cycles=TINY.max_cycles, engine="auto")
+    assert (gpu.engine_used, gpu.fallback_reason) == REASONS[case]
+    if case in ("step_wrapper", "sm_override", "stats_override"):
+        assert calls, f"wrapped hook never ran under {gpu.engine_used}"
+
+
+@pytest.mark.parametrize("engine", ["reference", "fused"])
+def test_requested_engine_runs_without_reason(engine):
+    gpu = build_gpu()
+    gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert (gpu.engine_used, gpu.fallback_reason) == (engine, None)
+
+
+def test_dense_oracle_has_no_reason(monkeypatch):
+    monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    gpu = build_gpu()
+    gpu.run(max_cycles=TINY.max_cycles, engine="fused")
+    assert (gpu.engine_used, gpu.fallback_reason) == ("dense", None)
+
+
+def test_explicit_fused_request_reports_fused_tier_refusals():
+    """An explicit ``fused`` request never consults the compiled tier, so a
+    CTA tracer is no refusal there, and a sanitizer still is."""
+    from repro.sim.tracing import attach_tracer
+    from repro.validate.sanitizer import attach_sanitizer
+    gpu = build_gpu()
+    attach_tracer(gpu, level="cta")
+    gpu.run(max_cycles=TINY.max_cycles, engine="fused")
+    assert (gpu.engine_used, gpu.fallback_reason) == ("fused", None)
+    gpu = build_gpu()
+    attach_sanitizer(gpu)
+    gpu.run(max_cycles=TINY.max_cycles, engine="fused")
+    assert (gpu.engine_used, gpu.fallback_reason) == (
+        "reference", "sanitizer")
+
+
 @needs_extension
 def test_compiled_runs_the_uninstrumented_baseline():
     gpu = build_gpu()
-    assert run_eligible(gpu)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    assert gpu.engine_used == "compiled"
-
-
-@pytest.mark.parametrize("reason, expect_used", [
-    ("sanitizer", "reference"),   # fails fast_step_eligible per SM
-    ("cta_tracer", "fused"),      # fused step eligible, run-level not
-    ("telemetry", "reference"),
-    ("lrr", "reference"),         # the fused step hard-codes GTO's scan
-])
-def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
-    """Every ``run_eligible`` failure must route ``auto`` to the event
-    engine -- never error.  A CTA-level tracer leaves the fused step
-    eligible, but the decoupled issue loops would scramble the global
-    order of its launch/retire records, hence the run-level fallback."""
-    if reason == "lrr":
-        gpu = build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
-    else:
-        gpu = build_gpu()
-        if reason == "sanitizer":
-            from repro.validate.sanitizer import attach_sanitizer
-            attach_sanitizer(gpu)
-        elif reason == "cta_tracer":
-            from repro.sim.tracing import attach_tracer
-            attach_tracer(gpu, level="cta")
-        else:
-            from repro.telemetry.session import attach_telemetry
-            attach_telemetry(gpu)
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="auto")
-    assert gpu.engine_used == expect_used
+    assert (gpu.engine_used, gpu.fallback_reason) == ("compiled", None)
 
 
 @pytest.mark.parametrize("policy", sorted(p for p in POLICIES
                                           if p != "baseline"))
-def test_compiled_falls_back_on_non_inert_policies(policy):
+def test_compiled_falls_back_on_non_inert_policies(monkeypatch, policy):
     """Every non-baseline policy overrides launch/finish/idle hooks the
     closed-form idle accounting bypasses, so none may take the C core."""
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
     gpu = build_gpu(policy)
-    assert not policy_inert(gpu.sms[0]._policy)
-    assert not run_eligible(gpu)
     gpu.run(max_cycles=TINY.max_cycles, engine="auto")
     # Hook-free policies still take the fused step; policies needing an
     # issue hook (vt_regmutex) drop all the way to the reference step.
-    assert gpu.engine_used in ("fused", "reference")
+    if gpu.engine_used == "reference":
+        assert gpu.fallback_reason == "issue-hook"
+    else:
+        cls = type(gpu.sms[0]._policy).__name__
+        assert gpu.engine_used == "fused"
+        assert gpu.fallback_reason.startswith(f"policy:{cls}.")
 
 
-def test_instance_policy_override_defeats_inertness():
+def test_instance_policy_override_defeats_inertness(monkeypatch):
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
     gpu = build_gpu()
-    policy = gpu.sms[0]._policy
-    assert policy_inert(policy)
-    policy.on_tick = lambda now: None
-    assert not policy_inert(policy)
-    assert not run_eligible(gpu)
+    gpu.sms[0]._policy.on_tick = lambda now: None
+    gpu.run(max_cycles=TINY.max_cycles, engine="auto")
+    assert (gpu.engine_used, gpu.fallback_reason) == (
+        "fused", "override:on_tick")
 
 
-def test_instance_sm_override_defeats_run_eligibility():
+def test_instance_sm_override_defeats_run_eligibility(monkeypatch):
     """Mutation-style instance wrappers on bypassed SM methods (the dense
     oracle would honor them; the C core would not) must disqualify."""
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
     gpu = build_gpu()
-    assert run_eligible(gpu)
-    sm = gpu.sms[0]
-    sm.accumulate = lambda *a, **k: None
-    assert not run_eligible(gpu)
+    original = gpu.sms[0].accumulate
+    gpu.sms[0].accumulate = lambda *a, **k: original(*a, **k)
+    gpu.run(max_cycles=TINY.max_cycles, engine="auto")
+    assert (gpu.engine_used, gpu.fallback_reason) == (
+        "fused", "override:accumulate")
 
 
 @pytest.mark.parametrize("surface", ["sm", "wake", "stats"])
@@ -218,9 +323,8 @@ def test_compiled_only_overrides_land_on_the_event_engine(surface):
     wrapper proves the override was honored, not just relabelled.  (The
     scheduler surface needs no instance gate: GTOScheduler declares
     __slots__, so wrapping e.g. ``wake`` on an instance is impossible --
-    pinned here -- and fast_step_eligible requires the exact type.)"""
+    pinned here -- and the fused gate requires the exact type.)"""
     gpu = build_gpu()
-    assert run_eligible(gpu)
     sm = gpu.sms[0]
     if surface == "wake":
         with pytest.raises(AttributeError):
@@ -229,14 +333,7 @@ def test_compiled_only_overrides_land_on_the_event_engine(surface):
     calls = []
     owner, name = (sm, "_on_long_block") if surface == "sm" else (
         sm.stats, "accumulate")
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    setattr(owner, name, counting)
-    assert not run_eligible(gpu)
+    _wrap(owner, name, calls)
     gpu.run(max_cycles=TINY.max_cycles, engine="auto")
     assert gpu.engine_used in ("fused", "reference")
     assert calls, f"wrapped {name} never ran under {gpu.engine_used}"

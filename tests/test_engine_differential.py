@@ -130,8 +130,9 @@ def test_env_switch_selects_dense_engine():
     gpu._run_dense = lambda max_cycles: sentinel
     with dense_engine():
         assert gpu.run(max_cycles=10) is sentinel
-    gpu._run_event = lambda max_cycles, force_reference=False: sentinel
+    gpu._run_event = lambda max_cycles: sentinel
     assert gpu.run(max_cycles=10, engine="fused") is sentinel
+    assert (gpu.engine_used, gpu.fallback_reason) == ("fused", None)
 
 
 def test_uninstrumented_run_binds_the_fast_path():
@@ -142,19 +143,21 @@ def test_uninstrumented_run_binds_the_fast_path():
               liveness=instance.liveness)
     gpu.run(max_cycles=TINY.max_cycles, engine="fused")
     assert all(sm._fast_consts is not None for sm in gpu.sms), (
-        "fast_step_eligible() stopped admitting a plain uninstrumented run")
+        "the fused gate stopped admitting a plain uninstrumented run")
+    assert (gpu.engine_used, gpu.fallback_reason) == ("fused", None)
 
 
 @pytest.mark.skipif(not compiled_available(),
                     reason="repro.sim._ckernel extension not built")
 def test_uninstrumented_baseline_run_takes_the_compiled_path():
     """The C core must actually engage for a plain baseline run (guards
-    run_eligible drift, mirroring the fast-path binding test)."""
+    compiled-gate drift, mirroring the fast-path binding test)."""
     gpu = build_micro_gpu("baseline", "KM", 0)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled", (
-        "run_eligible() stopped admitting a plain uninstrumented "
-        f"baseline run (engine_used={gpu.engine_used!r})")
+        "the compiled gate stopped admitting a plain uninstrumented "
+        f"baseline run (engine_used={gpu.engine_used!r}, "
+        f"fallback_reason={gpu.fallback_reason!r})")
 
 
 # ----------------------------------------------------------------------
@@ -185,15 +188,16 @@ def test_golden_case_bare_three_way_differential(case, engine):
 # ----------------------------------------------------------------------
 # Concurrent kernels: arbiter-aware runs stay on the differential wall
 # ----------------------------------------------------------------------
-def test_run_eligible_rejects_concurrent_runs():
+def test_run_eligible_rejects_concurrent_runs(monkeypatch):
     """Multi-launch GPUs must be conservatively routed away from the
     C core (which models one grid per SM)."""
-    from repro.sim.compiled import run_eligible
+    from repro.sim import backend
 
-    single = build_micro_gpu("baseline", "KM", 0)
-    assert run_eligible(single)
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
     concurrent = build_concurrent_gpu("st+km", "baseline")
-    assert not run_eligible(concurrent)
+    concurrent.run(max_cycles=TINY.max_cycles, engine="auto")
+    assert (concurrent.engine_used, concurrent.fallback_reason) == (
+        "fused", "concurrent")
 
 
 @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "fused"])
@@ -206,9 +210,10 @@ def test_concurrent_decoupled_request_falls_back_to_fused(policy, engine):
             max_cycles=TINY.max_cycles)
     gpu = build_concurrent_gpu("st+km", policy)
     current = gpu.run(max_cycles=TINY.max_cycles, engine=engine)
-    assert gpu.engine_used == "fused", (
+    assert (gpu.engine_used, gpu.fallback_reason) == (
+        "fused", "concurrent"), (
         f"concurrent run must fall back to the fused event engine, "
-        f"got {gpu.engine_used!r}")
+        f"got {gpu.engine_used!r} ({gpu.fallback_reason!r})")
     assert result_bytes(dense) == result_bytes(current)
 
 

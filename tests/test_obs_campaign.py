@@ -17,22 +17,20 @@ from repro.obs.schema import check_obs_event
 from repro.obs.session import ObsSession
 from repro.obs.spans import reconcile_spans
 
-#: Six requests across apps/policies; the last mirrors request 2 under a
-#: pinned engine -- ``engine`` is not part of the memo key, so the
+#: Six requests across apps/policies; the last repeats request 2, so the
 #: campaign dedupes to five actual simulations.
 REQUESTS = [
-    ("KM", "baseline", None),
-    ("KM", "finereg", None),
-    ("LB", "finereg_adaptive", None),
-    ("ST", "virtual_thread", None),
-    ("HS", "reg_dram", None),
-    ("KM", "finereg", "reference"),
+    ("KM", "baseline"),
+    ("KM", "finereg"),
+    ("LB", "finereg_adaptive"),
+    ("ST", "virtual_thread"),
+    ("HS", "reg_dram"),
+    ("KM", "finereg"),
 ]
 
 
 def make_requests():
-    return [RunRequest.make(app, policy, engine=engine)
-            for app, policy, engine in REQUESTS]
+    return [RunRequest.make(app, policy) for app, policy in REQUESTS]
 
 
 def run_campaign(tmp_path, tag, jobs, with_obs, log_name=None):

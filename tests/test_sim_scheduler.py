@@ -79,16 +79,6 @@ class TestBlockedHandling:
         assert sched.issue(0, first_fails)
         assert sched._current is warps[1]
 
-    def test_has_runnable(self):
-        sched = GTOScheduler(0)
-        warps = make_warps(2)
-        for warp in warps:
-            sched.add_warp(warp)
-        assert sched.has_runnable(0)
-        for warp in warps:
-            warp.blocked_until = 10
-        assert not sched.has_runnable(0)
-
 
 class TestMembership:
     def test_remove_warp_clears_current(self):
